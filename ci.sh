@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, then a ThreadSanitizer smoke of
-# the parallel experiment engine (tests/exec_smoke.cpp) built with
-# -DRHSD_SANITIZE=thread.
+# CI entry point: tier-1 build + tests, the full test suite again under
+# AddressSanitizer + UndefinedBehaviorSanitizer, a ThreadSanitizer smoke
+# of the parallel experiment engine (tests/exec_smoke.cpp), the chaos
+# determinism diff, and the perf gate.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -14,16 +15,20 @@ cmake -B build -S .
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+echo "== asan+ubsan: full suite under -fsanitize=address,undefined =="
+# Every report is fatal: a sanitizer finding is a bug to fix, never one
+# to suppress.
+cmake -B build-asan -S . -DRHSD_SANITIZE=address,undefined
+cmake --build build-asan -j "${JOBS}"
+(cd build-asan &&
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ASAN_OPTIONS=halt_on_error=1 \
+  ctest --output-on-failure -j "${JOBS}")
+
 echo "== tsan smoke: experiment engine under -fsanitize=thread =="
 cmake -B build-tsan -S . -DRHSD_SANITIZE=thread
-cmake --build build-tsan -j "${JOBS}" --target exec_smoke --target event_loop_smoke --target chaos_torture_test --target event_loop_parity_test
+cmake --build build-tsan -j "${JOBS}" --target exec_smoke --target chaos_torture_test
 ./build-tsan/tests/exec_smoke
-# Race-check the event loop's sharded execution (thread-local shard
-# sinks, per-bank undo logs, commit/rollback) under real contention.
-./build-tsan/tests/event_loop_smoke
-# Race-check the mitigation-aware shard path: per-bank TRR tables
-# mutated in place by shards, pre-drawn PARA slices, snapshot rollback.
-./build-tsan/tests/event_loop_parity_test --gtest_filter='*Mitigated*'
 
 echo "== chaos determinism: fixed-seed storms, back-to-back digest diff =="
 # The chaos harness asserts its invariants (tenant isolation,
@@ -66,8 +71,8 @@ mkdir -p "${PERF_DIR}"
 # read-heavy scale sweep merges cloud_tenant_iops, the TRR+PARA sweep
 # merges cloud_mitigated_iops, and the mixed read/write sweep merges
 # cloud_write_iops into the same report.  The binary itself asserts the
-# mixed sweep engaged the sharded write path and the mitigated sweep
-# engaged TRR/PARA and the rate limiter on the shard path.
+# mixed sweep issued writes, the mitigated sweep fired TRR and PARA
+# refreshes, and the rate-limited point stalled.
 (cd "${PERF_DIR}" && ../bench/bench_cloud_scale --quick >/dev/null)
 REPORT="${PERF_DIR}/BENCH_hotpath.json"
 if [[ ! -f "${REPORT}" ]]; then
@@ -128,16 +133,14 @@ gate_floor hammer_batched_trr_speedup 2.0
 # >=20x over the ~0.056 scenarios/s the scalar round loop managed at
 # production trace lengths (0.5 s of hammering per triple, single core).
 gate_floor mitigations_scenarios_per_s 1.12
-# Simulated commands retired per host second by the sharded event loop
-# across the --quick tenant sweep (~550k+ on a single idle core; floor
-# leaves headroom for loaded CI machines).
+# Simulated commands retired per host second by the event loop across
+# the --quick tenant sweep (floor leaves headroom for loaded CI
+# machines).
 gate_floor cloud_tenant_iops 100000
 # Write commands retired per host second across the mixed read/write
-# sweep with per-bank write sharding (~215k on a single idle core).
+# sweep.
 gate_floor cloud_write_iops 40000
-# Same sweep with TRR + PARA live: mitigated hosts must stay on the
-# shard path (~550k on a single idle core; the floor is the point —
-# sequential fallback would land far below it).
+# Same sweep with TRR + PARA live.
 gate_floor cloud_mitigated_iops 50000
 
 echo "== ci.sh: all green =="

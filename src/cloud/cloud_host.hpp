@@ -9,11 +9,9 @@
 // The underlying FTL and L2P table stay shared across all of them —
 // the whole point of the attack.
 //
-// Hosts whose device profile enables TRR or PARA (or a rate limiter)
-// run the NVMe event loop's per-bank shard path like bare devices do:
-// mitigation state shards with commit-merged deltas and plan-time
-// pre-draws, so the mitigated fleet scales without dropping to
-// sequential execution (see NvmeEventLoop::sharding_supported).
+// Tenant queue pairs attach to one NvmeEventLoop, which multiplexes
+// them into the single device command stream — with or without TRR,
+// PARA or a rate limiter in the device profile.
 #pragma once
 
 #include <cstdint>

@@ -145,15 +145,11 @@ class L2pJournal {
   /// sizing checks.
   [[nodiscard]] std::uint32_t pages_per_half() const;
   [[nodiscard]] std::uint32_t snapshot_pages() const;
-  /// Mapping records one record page holds.  Public so the FTL's write
-  /// planner can mirror append()/flush() at draft time: appends drafted
-  /// into an event-loop batch are deferred and replayed through
-  /// append() at commit, and the planner must predict — exactly — how
-  /// many record pages those appends will program and whether one would
-  /// exhaust the half or trip needs_snapshot().
-  [[nodiscard]] std::uint32_t records_per_page() const;
 
  private:
+  /// Mapping records one record page holds.
+  [[nodiscard]] std::uint32_t records_per_page() const;
+
   // On-media page layout: 24-byte header, payload, 4-byte CRC-32C
   // trailer over everything before it.
   //   [0,4)   magic "RHJL"

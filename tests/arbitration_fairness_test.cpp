@@ -80,7 +80,6 @@ FairnessResult RunFlood(bool quarantine, std::uint64_t seed,
   EventLoopConfig lc;
   lc.policy = policy;
   lc.seed = seed;
-  lc.sharded = false;
   lc.quarantine = quarantine;
   lc.quarantine_base_picks = 32;
   lc.quarantine_cap_picks = 512;
@@ -258,7 +257,6 @@ TEST(ArbitrationFairness, PenaltyDrainsExactlyOneTickPerPick) {
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = kSeed;
-  lc.sharded = false;
   lc.quarantine = true;
   lc.quarantine_base_picks = kBase;
   lc.quarantine_cap_picks = 512;
@@ -345,7 +343,6 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
     EventLoopConfig lc;
     lc.policy = ArbitrationPolicy::kRoundRobin;
     lc.seed = 11;
-    lc.sharded = false;
     lc.quarantine = true;
     lc.quarantine_base_picks = 32;
     lc.quarantine_cap_picks = 512;
