@@ -327,6 +327,25 @@ void ReportHammerHotPath() {
     ftl_read_ns = (bench::HostSeconds() - t0) / kReads * 1e9;
   }
 
+  // The extent-tree checksum the fs verifies on every directory walk:
+  // CRC-32C over a node's 4092-byte prefix.
+  double crc_checks_per_s = 0;
+  {
+    constexpr std::uint64_t kChecks = 100000;
+    std::vector<std::uint8_t> node(4092, 0x5A);
+    double best = 0;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const double t0 = bench::HostSeconds();
+      for (std::uint64_t i = 0; i < kChecks; ++i) {
+        benchmark::DoNotOptimize(
+            Crc32c(node, static_cast<std::uint32_t>(i)));
+      }
+      const double elapsed = bench::HostSeconds() - t0;
+      if (rep == 0 || elapsed < best) best = elapsed;
+    }
+    crc_checks_per_s = static_cast<double>(kChecks) / best;
+  }
+
   const double scalar_ns = scalar_s / (kBatches * kPairs) * 1e9;
   const double batched_ns = batched_s / (kBatches * kPairs) * 1e9;
   const double trr_scalar_ns = trr_scalar_s / (kBatches * kPairs) * 1e9;
@@ -342,14 +361,17 @@ void ReportHammerHotPath() {
   report.set("hammer_batched_trr_speedup", trr_scalar_ns / trr_batched_ns);
   report.set("hammer_pattern_wide_acts_per_s", wide_acts_per_s);
   report.set("ftl_unmapped_read_ns_per_io", ftl_read_ns);
+  report.set("crc_block_checks_per_s", crc_checks_per_s);
   report.write();
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); wide pattern %.0f acts/s -> BENCH_hotpath.json\n",
+      "(%.1fx); wide pattern %.0f acts/s; %.0f crc block checks/s "
+      "-> BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
-      trr_batched_ns, trr_scalar_ns / trr_batched_ns, wide_acts_per_s);
+      trr_batched_ns, trr_scalar_ns / trr_batched_ns, wide_acts_per_s,
+      crc_checks_per_s);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, the full test suite again under
-# AddressSanitizer + UndefinedBehaviorSanitizer, a ThreadSanitizer smoke
-# of the parallel experiment engine (tests/exec_smoke.cpp), the chaos
-# determinism diff, and the perf gate.
+# CI entry point: tier-1 build (warnings are errors) + tests, the full
+# test suite again under AddressSanitizer + UndefinedBehaviorSanitizer, a
+# ThreadSanitizer smoke of the parallel experiment engine
+# (tests/exec_smoke.cpp), the chaos determinism diff, and the perf gate.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -11,7 +11,9 @@ cd "$(dirname "$0")"
 JOBS="${1:-$(nproc)}"
 
 echo "== tier-1: build + ctest =="
-cmake -B build -S .
+# Warnings are errors here: the tree builds clean under -Wall -Wextra,
+# and a new warning fails CI instead of piling up.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
@@ -74,6 +76,10 @@ mkdir -p "${PERF_DIR}"
 # mixed sweep issued writes, the mitigated sweep fired TRR and PARA
 # refreshes, and the rate-limited point stalled.
 (cd "${PERF_DIR}" && ../bench/bench_cloud_scale --quick >/dev/null)
+# The paper's Fig. 3 exploit end to end (~5 s): merges
+# exploit_sim_s_per_s, simulated seconds per host second of its full
+# 25% spray run, so the exploit path is under the trajectory check.
+(cd "${PERF_DIR}" && ../bench/bench_fig3_ext4_exploit >/dev/null)
 REPORT="${PERF_DIR}/BENCH_hotpath.json"
 if [[ ! -f "${REPORT}" ]]; then
   echo "perf gate: bench_micro produced no ${REPORT}" >&2

@@ -109,6 +109,14 @@ DramDevice::DramDevice(DramConfig config,
   row_window_.assign(total_rows, ~0ull);
   row_acts_.assign(total_rows, 0);
   row_data_.resize(total_rows);
+  RHSD_CHECK_MSG(total_rows <= (1ull << 32),
+                 "too many rows for the row table");
+  row_table_.resize(total_rows);
+  for (std::uint64_t k = 0; k < total_rows; ++k) {
+    row_table_[k] = static_cast<std::uint32_t>(
+        mapper_->decode(DramAddr(k * config_.geometry.row_bytes))
+            .global_row(config_.geometry));
+  }
   neighbor_refresh_active_ = config_.mitigations.trr ||
                              config_.mitigations.para_probability > 0.0;
 }
@@ -1439,9 +1447,7 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
       // bit (low 3 bits) and the byte within the accessed span.
       const std::uint64_t target =
           addr.value() + (fault->param >> 3) % out.size();
-      RowData& rd = materialize(
-          mapper_->decode(DramAddr(target - target % config_.geometry.row_bytes))
-              .global_row(config_.geometry));
+      RowData& rd = materialize(global_row_of(DramAddr(target)));
       rd.data[target % config_.geometry.row_bytes] ^=
           static_cast<std::uint8_t>(1u << (fault->param & 7));
       ++stats_.injected_bit_errors;
@@ -1451,12 +1457,10 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
   std::uint64_t a = addr.value();
   std::size_t done = 0;
   while (done < out.size()) {
-    const std::uint64_t row_base = a - (a % row_bytes);
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, out.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(row_base));
-    const std::uint64_t grow = coord.global_row(config_.geometry);
+    const std::uint64_t grow = global_row_of(DramAddr(a));
 
     bool need_activate = true;
     if (cache_.has_value()) {
@@ -1495,9 +1499,7 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, data.size() - done));
-    const std::uint64_t row_base = a - off;
-    const DramCoord coord = mapper_->decode(DramAddr(row_base));
-    const std::uint64_t grow = coord.global_row(config_.geometry);
+    const std::uint64_t grow = global_row_of(DramAddr(a));
 
     if (cache_.has_value()) {
       // Write-invalidate, mirroring the paper's modified SPDK which
@@ -1545,10 +1547,8 @@ Status DramDevice::repeat_read(DramAddr addr, std::span<std::uint8_t> out,
   // the ECC state (scrubbed by the first read), or the outcome — only
   // the activations and their neighbor disturbance remain.
   stats_.reads += extra;
-  const DramCoord coord =
-      mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
-  hammer_events(coord.global_row(config_.geometry),
-                coord.global_row(config_.geometry), extra);
+  const std::uint64_t grow = global_row_of(addr);
+  hammer_events(grow, grow, extra);
   return Status::Ok();
 }
 
@@ -1576,10 +1576,8 @@ Status DramDevice::repeat_write(DramAddr addr,
   // reproduce the state the first write left); only the activations and
   // their neighbor disturbance remain.
   stats_.writes += extra;
-  const DramCoord coord =
-      mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
-  hammer_events(coord.global_row(config_.geometry),
-                coord.global_row(config_.geometry), extra);
+  const std::uint64_t grow = global_row_of(addr);
+  hammer_events(grow, grow, extra);
   return Status::Ok();
 }
 
@@ -1592,8 +1590,7 @@ void DramDevice::peek(DramAddr addr, std::span<std::uint8_t> out) const {
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, out.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(a - off));
-    const RowData* rd = row_data_[coord.global_row(config_.geometry)].get();
+    const RowData* rd = row_data_[global_row_of(DramAddr(a))].get();
     if (rd == nullptr || rd->data.empty()) {
       std::memset(out.data() + done, 0, chunk);
     } else {
@@ -1626,8 +1623,7 @@ void DramDevice::poke(DramAddr addr, std::span<const std::uint8_t> data) {
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, data.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(a - off));
-    RowData& rd = materialize(coord.global_row(config_.geometry));
+    RowData& rd = materialize(global_row_of(DramAddr(a)));
     std::memcpy(rd.data.data() + off, data.data() + done, chunk);
     update_ecc(rd, off, chunk);
     a += chunk;

@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "common/status.hpp"
@@ -245,6 +246,16 @@ class DramDevice {
   /// Modify memory without activations; updates ECC check bits.
   void poke(DramAddr addr, std::span<const std::uint8_t> data);
 
+  /// Global row id of the row holding `addr`: the same value as
+  /// `mapper().decode(addr).global_row(geometry)`, read from a table the
+  /// constructor fills (every mapper keeps a row's bytes in one row, so
+  /// the row id depends only on `addr / row_bytes`).
+  [[nodiscard]] std::uint64_t global_row_of(DramAddr addr) const {
+    const std::uint64_t index = addr.value() / config_.geometry.row_bytes;
+    RHSD_CHECK_MSG(index < row_table_.size(), "DRAM address out of range");
+    return row_table_[index];
+  }
+
   [[nodiscard]] const DramConfig& config() const { return config_; }
   [[nodiscard]] const AddressMapper& mapper() const { return *mapper_; }
   [[nodiscard]] const SimClock& clock() const { return clock_; }
@@ -400,6 +411,9 @@ class DramDevice {
   DramStats stats_;
   std::vector<FlipEvent> flip_events_;
   std::uint64_t pokes_ = 0;  // content mutations via poke()
+  /// global_row_of() table: entry k is the global row of the address
+  /// range [k * row_bytes, (k + 1) * row_bytes).
+  std::vector<std::uint32_t> row_table_;
 
   // Flat per-row hot state (indexed by global row id).  The activation
   // path touches only these three arrays plus the disturbance model's

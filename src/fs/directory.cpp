@@ -3,6 +3,7 @@
 // Directories are regular extent-mapped files holding fixed 64-byte
 // dirent slots (a documented simplification over ext4's variable-length
 // records; semantics — lookup, insert, remove, readdir — match).
+#include <array>
 #include <cstring>
 
 #include "fs/filesystem.hpp"
@@ -35,7 +36,7 @@ StatusOr<std::uint32_t> FileSystem::dir_lookup(std::uint32_t dir_ino,
   }
   const std::uint64_t nblocks =
       (dir.size + kFsBlockSize - 1) / kFsBlockSize;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   InodeDisk scratch = dir;  // map_block may not mutate when alloc=false
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     RHSD_ASSIGN_OR_RETURN(
@@ -62,7 +63,7 @@ Status FileSystem::dir_add(std::uint32_t dir_ino, InodeDisk& dir,
   const DirentDisk entry = MakeDirent(name, ino, type);
   const std::uint64_t nblocks =
       (dir.size + kFsBlockSize - 1) / kFsBlockSize;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
 
   // Reuse a free slot in an existing block.
   for (std::uint64_t b = 0; b < nblocks; ++b) {
@@ -99,7 +100,7 @@ Status FileSystem::dir_remove(std::uint32_t dir_ino, InodeDisk& dir,
                               std::string_view name) {
   const std::uint64_t nblocks =
       (dir.size + kFsBlockSize - 1) / kFsBlockSize;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     RHSD_ASSIGN_OR_RETURN(
         const std::uint64_t phys,
@@ -125,7 +126,7 @@ StatusOr<std::vector<DirEntry>> FileSystem::dir_list(std::uint32_t dir_ino,
   std::vector<DirEntry> entries;
   const std::uint64_t nblocks =
       (dir.size + kFsBlockSize - 1) / kFsBlockSize;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   InodeDisk scratch = dir;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     RHSD_ASSIGN_OR_RETURN(

@@ -1,6 +1,7 @@
 #include "fs/extent_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/crc32c.hpp"
@@ -9,6 +10,8 @@ namespace rhsd::fs {
 namespace {
 
 constexpr std::uint32_t kRootBytes = kInodeBlockSlots * 4;  // 60
+/// Deepest tree Load() accepts (ext4's EXT4_MAX_EXTENT_DEPTH).
+constexpr std::uint16_t kMaxDepth = 5;
 
 void ReadHeader(const std::uint8_t* p, ExtentHeader& h) {
   std::memcpy(&h, p, sizeof(h));
@@ -56,8 +59,9 @@ std::uint32_t ExtentTree::NodeChecksum(
 }
 
 Status ExtentTree::LoadNode(BlockDevice& dev, const ExtentCsumCtx& ctx,
-                            std::uint64_t block, std::vector<Extent>& out) {
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+                            std::uint64_t block, std::uint16_t depth,
+                            std::vector<Extent>& out) {
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev.read_block(block, buf));
 
   ExtentHeader h;
@@ -80,6 +84,13 @@ Status ExtentTree::LoadNode(BlockDevice& dev, const ExtentCsumCtx& ctx,
     return Corruption("extent node " + std::to_string(block) +
                       ": checksum mismatch");
   }
+  // Each level sits exactly one below its parent (ext4_ext_check): a
+  // checksum-valid node cannot point back up the tree or at itself.
+  if (h.depth != depth) {
+    return Corruption("extent node " + std::to_string(block) + ": depth " +
+                      std::to_string(h.depth) + ", expected " +
+                      std::to_string(depth));
+  }
 
   const std::uint8_t* entries = buf.data() + sizeof(ExtentHeader);
   if (h.depth == 0) {
@@ -95,7 +106,8 @@ Status ExtentTree::LoadNode(BlockDevice& dev, const ExtentCsumCtx& ctx,
     std::memcpy(&idx, entries + i * sizeof(idx), sizeof(idx));
     const std::uint64_t child =
         (static_cast<std::uint64_t>(idx.leaf_hi) << 32) | idx.leaf_lo;
-    RHSD_RETURN_IF_ERROR(LoadNode(dev, ctx, child, out));
+    RHSD_RETURN_IF_ERROR(LoadNode(
+        dev, ctx, child, static_cast<std::uint16_t>(depth - 1), out));
   }
   return Status::Ok();
 }
@@ -114,6 +126,10 @@ StatusOr<std::vector<Extent>> ExtentTree::Load(BlockDevice& dev,
     return Corruption("inode " + std::to_string(ctx.ino) +
                       ": bad extent root entry counts");
   }
+  if (h.depth > kMaxDepth) {
+    return Corruption("inode " + std::to_string(ctx.ino) +
+                      ": extent tree too deep");
+  }
   std::vector<Extent> extents;
   const std::uint8_t* entries = root + sizeof(ExtentHeader);
   if (h.depth == 0) {
@@ -128,7 +144,8 @@ StatusOr<std::vector<Extent>> ExtentTree::Load(BlockDevice& dev,
       std::memcpy(&idx, entries + i * sizeof(idx), sizeof(idx));
       const std::uint64_t child =
           (static_cast<std::uint64_t>(idx.leaf_hi) << 32) | idx.leaf_lo;
-      RHSD_RETURN_IF_ERROR(LoadNode(dev, ctx, child, extents));
+      RHSD_RETURN_IF_ERROR(LoadNode(
+          dev, ctx, child, static_cast<std::uint16_t>(h.depth - 1), extents));
     }
   }
   std::sort(extents.begin(), extents.end(),
@@ -153,7 +170,7 @@ Status ExtentTree::FreeNodes(BlockDevice& dev, const InodeDisk& inode,
         (static_cast<std::uint64_t>(idx.leaf_hi) << 32) | idx.leaf_lo;
     if (h.depth > 1) {
       // Defensive: free grandchildren too if a deeper tree is found.
-      std::vector<std::uint8_t> buf(kFsBlockSize);
+      std::array<std::uint8_t, kFsBlockSize> buf;
       RHSD_RETURN_IF_ERROR(dev.read_block(child, buf));
       ExtentHeader ch;
       ReadHeader(buf.data(), ch);
@@ -228,7 +245,7 @@ Status ExtentTree::Store(BlockDevice& dev, InodeDisk& inode,
     const std::size_t count = std::min(per_leaf, extents.size() - pos);
     RHSD_ASSIGN_OR_RETURN(const std::uint64_t node_block, alloc());
 
-    std::vector<std::uint8_t> buf(kFsBlockSize, 0);
+    std::array<std::uint8_t, kFsBlockSize> buf{};
     ExtentHeader lh{};
     lh.magic = kExtentMagic;
     lh.entries = static_cast<std::uint16_t>(count);

@@ -46,7 +46,8 @@ class ExtentTree {
   static void InitRoot(InodeDisk& inode);
 
   /// Walk the tree and return the (sorted) extent list.  Verifies node
-  /// magic and checksums.
+  /// magic, checksums and depths (each node one below its parent, at
+  /// most 5 levels), so a corrupt tree cannot recurse without bound.
   static StatusOr<std::vector<Extent>> Load(BlockDevice& dev,
                                             const InodeDisk& inode,
                                             const ExtentCsumCtx& ctx);
@@ -77,8 +78,11 @@ class ExtentTree {
       const ExtentCsumCtx& ctx, std::span<const std::uint8_t> node_prefix);
 
  private:
+  /// Load the node at `block`, which its parent places at `depth`;
+  /// a node whose header says otherwise is Corruption.
   static Status LoadNode(BlockDevice& dev, const ExtentCsumCtx& ctx,
-                         std::uint64_t block, std::vector<Extent>& out);
+                         std::uint64_t block, std::uint16_t depth,
+                         std::vector<Extent>& out);
   static Status FreeNodes(BlockDevice& dev, const InodeDisk& inode,
                           const BlockFreeFn& free);
 };

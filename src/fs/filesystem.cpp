@@ -1,6 +1,7 @@
 #include "fs/filesystem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/crc32c.hpp"
@@ -60,11 +61,11 @@ StatusOr<std::unique_ptr<FileSystem>> FileSystem::Format(
   super.checksum = SuperChecksum(super);
 
   // Zero all metadata blocks.
-  std::vector<std::uint8_t> zero(kFsBlockSize, 0);
+  const std::array<std::uint8_t, kFsBlockSize> zero{};
   for (std::uint64_t b = 1; b < super.data_start; ++b) {
     RHSD_RETURN_IF_ERROR(dev.write_block(b, zero));
   }
-  std::vector<std::uint8_t> sb_block(kFsBlockSize, 0);
+  std::array<std::uint8_t, kFsBlockSize> sb_block{};
   std::memcpy(sb_block.data(), &super, sizeof(super));
   RHSD_RETURN_IF_ERROR(dev.write_block(0, sb_block));
 
@@ -103,7 +104,7 @@ StatusOr<std::unique_ptr<FileSystem>> FileSystem::Format(
 }
 
 StatusOr<std::unique_ptr<FileSystem>> FileSystem::Mount(BlockDevice& dev) {
-  std::vector<std::uint8_t> sb_block(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> sb_block;
   RHSD_RETURN_IF_ERROR(dev.read_block(0, sb_block));
   SuperblockDisk super;
   std::memcpy(&super, sb_block.data(), sizeof(super));
@@ -158,7 +159,7 @@ Status FileSystem::write_super() {
   super_.free_blocks = free_blocks_;
   super_.free_inodes = free_inodes_;
   super_.checksum = SuperChecksum(super_);
-  std::vector<std::uint8_t> sb_block(kFsBlockSize, 0);
+  std::array<std::uint8_t, kFsBlockSize> sb_block{};
   std::memcpy(sb_block.data(), &super_, sizeof(super_));
   return dev_.write_block(0, sb_block);
 }
@@ -254,7 +255,7 @@ StatusOr<InodeDisk> FileSystem::load_inode(std::uint32_t ino) {
   const std::uint64_t block =
       super_.inode_table_start + (ino - 1) / kInodesPerBlock;
   const std::uint32_t slot = (ino - 1) % kInodesPerBlock;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev_.read_block(block, buf));
   InodeDisk inode;
   std::memcpy(&inode, buf.data() + slot * kInodeSize, sizeof(inode));
@@ -268,7 +269,7 @@ Status FileSystem::store_inode(std::uint32_t ino, const InodeDisk& inode) {
   const std::uint64_t block =
       super_.inode_table_start + (ino - 1) / kInodesPerBlock;
   const std::uint32_t slot = (ino - 1) % kInodesPerBlock;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev_.read_block(block, buf));
   std::memcpy(buf.data() + slot * kInodeSize, &inode, sizeof(inode));
   return dev_.write_block(block, buf);
@@ -453,7 +454,7 @@ Status FileSystem::write(const Credentials& cred, std::uint32_t ino,
   bool inode_dirty = false;
   std::uint64_t pos = offset;
   std::size_t done = 0;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   while (done < data.size()) {
     const auto file_block = static_cast<std::uint32_t>(pos / kFsBlockSize);
     const auto in_block = static_cast<std::uint32_t>(pos % kFsBlockSize);
@@ -497,7 +498,7 @@ StatusOr<std::size_t> FileSystem::read(const Credentials& cred,
       std::min<std::uint64_t>(out.size(), inode.size - offset);
   std::uint64_t pos = offset;
   std::size_t done = 0;
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   while (done < limit) {
     const auto file_block = static_cast<std::uint32_t>(pos / kFsBlockSize);
     const auto in_block = static_cast<std::uint32_t>(pos % kFsBlockSize);

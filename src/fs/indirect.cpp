@@ -1,6 +1,7 @@
 #include "fs/indirect.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace rhsd::fs {
@@ -30,7 +31,7 @@ std::uint64_t IndirectMapper::max_file_blocks() {
 
 StatusOr<std::uint32_t> IndirectMapper::load_ptr(std::uint64_t table_block,
                                                  std::uint32_t index) {
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev_.read_block(table_block, buf));
   std::uint32_t value;
   std::memcpy(&value, buf.data() + index * 4, 4);
@@ -39,7 +40,7 @@ StatusOr<std::uint32_t> IndirectMapper::load_ptr(std::uint64_t table_block,
 
 Status IndirectMapper::store_ptr(std::uint64_t table_block,
                                  std::uint32_t index, std::uint32_t value) {
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev_.read_block(table_block, buf));
   std::memcpy(buf.data() + index * 4, &value, 4);
   return dev_.write_block(table_block, buf);
@@ -82,7 +83,7 @@ StatusOr<std::pair<std::uint64_t, std::uint32_t>> IndirectMapper::locate(
   if (table == 0) {
     if (!alloc) return std::pair<std::uint64_t, std::uint32_t>{0, 0};
     RHSD_ASSIGN_OR_RETURN(const std::uint64_t fresh, alloc_());
-    std::vector<std::uint8_t> zero(kFsBlockSize, 0);
+    const std::array<std::uint8_t, kFsBlockSize> zero{};
     RHSD_RETURN_IF_ERROR(dev_.write_block(fresh, zero));
     table = static_cast<std::uint32_t>(fresh);
     inode_.block[root_slot] = table;
@@ -93,7 +94,7 @@ StatusOr<std::pair<std::uint64_t, std::uint32_t>> IndirectMapper::locate(
     if (next == 0) {
       if (!alloc) return std::pair<std::uint64_t, std::uint32_t>{0, 0};
       RHSD_ASSIGN_OR_RETURN(const std::uint64_t fresh, alloc_());
-      std::vector<std::uint8_t> zero(kFsBlockSize, 0);
+      const std::array<std::uint8_t, kFsBlockSize> zero{};
       RHSD_RETURN_IF_ERROR(dev_.write_block(fresh, zero));
       next = static_cast<std::uint32_t>(fresh);
       RHSD_RETURN_IF_ERROR(store_ptr(table, path[level], next));
@@ -121,7 +122,7 @@ std::vector<std::uint64_t> IndirectMapper::get_run(std::uint32_t first,
   for (; i < count && first + i < kDirectBlocks; ++i) {
     phys[i] = inode_.block[first + i];
   }
-  std::vector<std::uint8_t> table(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> table;
   while (i < count) {
     const std::uint32_t fb = first + i;
     if (static_cast<std::uint64_t>(fb) >= max_file_blocks()) {
@@ -180,7 +181,7 @@ StatusOr<std::uint64_t> IndirectMapper::l1_indirect_block(
 
 Status IndirectMapper::free_tree(std::uint32_t table_block,
                                  std::uint32_t depth) {
-  std::vector<std::uint8_t> buf(kFsBlockSize);
+  std::array<std::uint8_t, kFsBlockSize> buf;
   RHSD_RETURN_IF_ERROR(dev_.read_block(table_block, buf));
   for (std::uint32_t i = 0; i < kPtrsPerBlock; ++i) {
     std::uint32_t ptr;

@@ -495,9 +495,7 @@ bool Ftl::plan_pattern_replay(std::span<const Lba> lbas,
     } else if (!l2p_batched_ok(addr)) {
       return false;
     }
-    const std::uint64_t row_base = addr.value() - off;
-    const std::uint64_t grow =
-        dram_.mapper().decode(DramAddr(row_base)).global_row(geo);
+    const std::uint64_t grow = dram_.global_row_of(addr);
     plan->lbas.push_back(lba);
     plan->entry_addrs.push_back(addr);
     plan->entry_rows.push_back(grow);
@@ -871,10 +869,7 @@ Status Ftl::scrub(std::uint64_t* repaired) {
         const auto off = static_cast<std::uint32_t>(
             addr.value() % row_bytes);
         if (off + L2pLayout::kEntryBytes <= row_bytes) {
-          const DramCoord coord =
-              dram_.mapper().decode(DramAddr(addr.value() - off));
-          scrub_locs_[lpn].row =
-              coord.global_row(dram_.config().geometry);
+          scrub_locs_[lpn].row = dram_.global_row_of(addr);
           scrub_locs_[lpn].offset = off;
         }
       }

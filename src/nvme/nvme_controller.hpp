@@ -69,7 +69,7 @@ struct PatternRequest {
   static constexpr std::uint64_t kNoDeadline = ~0ull;
 
   std::span<const std::uint64_t> slbas;
-  std::span<std::uint8_t> out;  // reads: exactly one 4 KiB block, shared
+  std::span<std::uint8_t> out = {};  // reads: exactly one 4 KiB block, shared
   /// Non-empty turns the pattern into writes of this one 4 KiB block.
   std::span<const std::uint8_t> data = {};
   std::uint64_t rounds = kNoRounds;

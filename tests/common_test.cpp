@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <set>
+#include <vector>
 
 #include "common/crc32c.hpp"
 #include "common/hexdump.hpp"
@@ -142,14 +143,66 @@ TEST(Crc32c, SeedChaining) {
 }
 
 TEST(Crc32c, SensitiveToSingleBitFlips) {
-  std::vector<std::uint8_t> data(64, 0xAB);
-  const std::uint32_t base = Crc32c(data);
-  for (int byte : {0, 13, 63}) {
-    for (int bit : {0, 5, 7}) {
-      auto copy = data;
-      copy[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_NE(Crc32c(copy), base)
-          << "flip at " << byte << ":" << bit << " not detected";
+  // Every bit of a short buffer (single stream) and of a 4092-byte
+  // extent-node prefix (three lanes plus a tail).
+  for (const std::size_t n : {std::size_t{64}, std::size_t{4092}}) {
+    Rng rng(n);
+    std::vector<std::uint8_t> data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    const std::uint32_t base = Crc32c(data);
+    int missed = 0;
+    for (std::size_t byte = 0; byte < n; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        data[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        if (Crc32c(data) == base) ++missed;
+        data[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+    EXPECT_EQ(missed, 0) << "length " << n;
+  }
+}
+
+// Bit-at-a-time CRC-32C register update, straight from the definition
+// and independent of both production paths (byte table and SSE4.2
+// lanes).  Works on the un-inverted register so prefixes chain.
+std::uint32_t BitwiseStep(std::uint32_t reg, std::uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg & 1u) ? (reg >> 1) ^ 0x82F63B78u : reg >> 1;
+  }
+  return reg;
+}
+
+// The SSE4.2 path runs 3 x 1360-byte lanes per 4080-byte stretch and
+// finishes with a single stream; these lengths cover no stretch, one
+// stretch plus every tail (4092 is the extent-node prefix, 4096 a whole
+// block), and the two- and three-stretch boundaries.
+TEST(Crc32c, MatchesBitwiseReferenceAcrossLengthsAndOffsets) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 4200; ++n) lengths.push_back(n);
+  for (std::size_t n = 8150; n <= 8170; ++n) lengths.push_back(n);
+  for (std::size_t n = 12230; n <= 12250; ++n) lengths.push_back(n);
+  const std::size_t max_len = lengths.back();
+  constexpr std::size_t kOffsets = 8;
+
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> buf(max_len + kOffsets);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+    const auto crc_seed = static_cast<std::uint32_t>(rng.next());
+    for (std::size_t off = 0; off < kOffsets; ++off) {
+      // want[n] = reference CRC of the n bytes starting at `off`.
+      std::vector<std::uint32_t> want(max_len + 1);
+      std::uint32_t reg = ~crc_seed;
+      want[0] = ~reg;
+      for (std::size_t n = 1; n <= max_len; ++n) {
+        reg = BitwiseStep(reg, buf[off + n - 1]);
+        want[n] = ~reg;
+      }
+      for (const std::size_t n : lengths) {
+        ASSERT_EQ(Crc32c(std::span(buf).subspan(off, n), crc_seed), want[n])
+            << "seed " << seed << " offset " << off << " length " << n;
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "dram/dram_device.hpp"
+#include "ssd/ssd_device.hpp"
 #include "test_util.hpp"
 
 namespace rhsd {
@@ -447,6 +448,56 @@ TEST(DramDevice, ClearFlipEvents) {
   EXPECT_TRUE(dram->flip_events().empty());
   // Counters persist.
   EXPECT_GT(dram->stats().bitflips, 0u);
+}
+
+// global_row_of() reads a table the constructor fills; it must agree
+// with the mapper's own decode at every row start and inside every row.
+void ExpectRowTableMatchesDecode(const DramGeometry& geom,
+                                 std::unique_ptr<AddressMapper> mapper) {
+  SimClock clock;
+  DramConfig c;
+  c.geometry = geom;
+  c.profile = test::EasyFlipProfile();
+  DramDevice dram(c, std::move(mapper), clock);
+  for (std::uint64_t k = 0; k < geom.total_rows(); ++k) {
+    const std::uint64_t base = k * geom.row_bytes;
+    const std::uint64_t interior = base + (k * 37 + 1) % geom.row_bytes;
+    for (const std::uint64_t a : {base, interior}) {
+      ASSERT_EQ(dram.global_row_of(DramAddr(a)),
+                dram.mapper().decode(DramAddr(a)).global_row(geom))
+          << "address " << a;
+    }
+  }
+}
+
+TEST(DramDevice, RowTableMatchesLinearDecode) {
+  ExpectRowTableMatchesDecode(DramGeometry::Tiny(),
+                              MakeLinearMapper(DramGeometry::Tiny()));
+  const DramGeometry demo = SsdConfig::DemoSetup(64 * kMiB).dram_geometry;
+  ExpectRowTableMatchesDecode(demo, MakeLinearMapper(demo));
+}
+
+TEST(DramDevice, RowTableMatchesRemappingXorDecode) {
+  // The SSD set-ups: one interleaved bank bit plus in-DRAM row remap.
+  for (const std::uint64_t mib : {16, 64}) {
+    const SsdConfig demo = SsdConfig::DemoSetup(mib * kMiB);
+    ASSERT_EQ(demo.xor_config.interleaved_bank_bits, 1u);
+    ASSERT_GT(demo.xor_config.row_remap_bits, 0u);
+    ExpectRowTableMatchesDecode(
+        demo.dram_geometry,
+        MakeXorMapper(demo.dram_geometry, demo.xor_config));
+  }
+  // The cloud-host geometry: 2 banks x 256 rows x 512 B, 4 remap bits.
+  const DramGeometry cloud{.channels = 1,
+                           .dimms_per_channel = 1,
+                           .ranks_per_dimm = 1,
+                           .banks_per_rank = 2,
+                           .rows_per_bank = 256,
+                           .row_bytes = 512};
+  XorMapperConfig xor_config;
+  xor_config.interleaved_bank_bits = 1;
+  xor_config.row_remap_bits = 4;
+  ExpectRowTableMatchesDecode(cloud, MakeXorMapper(cloud, xor_config));
 }
 
 }  // namespace

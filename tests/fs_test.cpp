@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "fs/block_device.hpp"
+#include "fs/extent_tree.hpp"
 #include "fs/filesystem.hpp"
 #include "fs/fsck.hpp"
 
@@ -393,6 +394,51 @@ TEST(Integrity, ExtentTreeCorruptionIsDetected) {
   std::vector<std::uint8_t> out(1);
   EXPECT_EQ(rig.fs->read(kRoot, *ino, 0, out).status().code(),
             StatusCode::kCorruption);
+}
+
+// A checksum-valid index node pointing at itself must not recurse until
+// the stack runs out: Load() requires each node to sit exactly one level
+// below its parent.
+TEST(Integrity, SelfReferencingExtentNodeIsCorruption) {
+  MemBlockDevice dev(8);
+  const ExtentCsumCtx ctx{.uuid = 0x5EED, .ino = 12, .generation = 3};
+  constexpr std::uint64_t kNode = 5;
+  ExtentIndex self{};
+  self.leaf_lo = static_cast<std::uint32_t>(kNode);
+
+  // Block 5: a depth-1 index node whose one entry is block 5.
+  std::vector<std::uint8_t> node(kFsBlockSize, 0);
+  const ExtentHeader nh{.magic = kExtentMagic,
+                        .entries = 1,
+                        .max_entries = kNodeMaxEntries,
+                        .depth = 1,
+                        .generation = ctx.generation};
+  std::memcpy(node.data(), &nh, sizeof(nh));
+  std::memcpy(node.data() + sizeof(nh), &self, sizeof(self));
+  ExtentTail tail{};
+  tail.checksum = ExtentTree::NodeChecksum(
+      ctx, std::span(node.data(), kFsBlockSize - sizeof(tail)));
+  std::memcpy(node.data() + kFsBlockSize - sizeof(tail), &tail,
+              sizeof(tail));
+  ASSERT_TRUE(dev.write_block(kNode, node).ok());
+
+  // Root depth 1 meets the loop at once; depth 2 one level down; depth 6
+  // is deeper than any tree Load() accepts.
+  for (const std::uint16_t root_depth : {1, 2, 6}) {
+    InodeDisk inode{};
+    inode.generation = ctx.generation;
+    const ExtentHeader rh{.magic = kExtentMagic,
+                          .entries = 1,
+                          .max_entries = kRootMaxEntries,
+                          .depth = root_depth,
+                          .generation = ctx.generation};
+    auto* root = reinterpret_cast<std::uint8_t*>(inode.block);
+    std::memcpy(root, &rh, sizeof(rh));
+    std::memcpy(root + sizeof(rh), &self, sizeof(self));
+    EXPECT_EQ(ExtentTree::Load(dev, inode, ctx).status().code(),
+              StatusCode::kCorruption)
+        << "root depth " << root_depth;
+  }
 }
 
 TEST(Integrity, IndirectBlockCorruptionIsSilent) {
