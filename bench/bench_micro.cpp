@@ -13,7 +13,9 @@
 #include "common/rng.hpp"
 #include "dram/dram_device.hpp"
 #include "dram/ecc.hpp"
+#include "dram/trr.hpp"
 #include "ftl/ftl.hpp"
+#include "nvme/queue_pair.hpp"
 #include "ssd/ssd_device.hpp"
 
 namespace rhsd {
@@ -346,6 +348,72 @@ void ReportHammerHotPath() {
     crc_checks_per_s = static_cast<double>(kChecks) / best;
   }
 
+  // Per-command queue-pair cost on its own: Flush commands (a timing
+  // no-op in the device) through submit/process/poll at QD16, so the
+  // SQ/CQ rings and the completion Status dominate.
+  double qp_flush_cmds_per_s = 0;
+  {
+    constexpr std::uint32_t kQueueDepth = 16;
+    constexpr std::uint64_t kRounds = 20000;
+    FtlFixtureState fixture;
+    NvmeConfig config;
+    config.namespaces = {NvmeNamespaceConfig{Lba(0), 4096}};
+    NvmeController controller(config, *fixture.ftl, fixture.clock);
+    NvmeQueuePair qp(controller, /*qid=*/1, kQueueDepth);
+    double best = 0;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      std::uint64_t completed = 0;
+      const double t0 = bench::HostSeconds();
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        for (std::uint32_t i = 0; i < kQueueDepth; ++i) {
+          const Status submitted =
+              qp.submit(NvmeCommand::Flush(static_cast<std::uint16_t>(i), 1));
+          benchmark::DoNotOptimize(submitted.ok());
+        }
+        (void)qp.process();
+        while (auto completion = qp.poll()) {
+          completed += completion->status.ok() ? 1 : 0;
+        }
+      }
+      const double elapsed = bench::HostSeconds() - t0;
+      RHSD_CHECK_MSG(completed == kRounds * kQueueDepth,
+                     "flush bench lost or failed a command");
+      if (rep == 0 || elapsed < best) best = elapsed;
+    }
+    qp_flush_cmds_per_s = static_cast<double>(kRounds * kQueueDepth) / best;
+  }
+
+  // The TRR replay shape repeat_read issues per L2P lookup: a 4-activation
+  // one-row advance() on a row the full table does not track, so every
+  // step is a Misra–Gries decrement and the call never reaches steady.
+  double trr_short_advance_per_s = 0;
+  {
+    constexpr std::uint32_t kTrackers = 4;
+    constexpr std::uint64_t kCalls = 100000;
+    constexpr std::uint64_t kActsPerCall = 4;
+    // Tracked counters stay above the calls' total decrements, so the
+    // table is full for the whole run.
+    constexpr std::uint64_t kPrefill = kCalls * kActsPerCall + 1;
+    const TrrConfig config{.trackers_per_bank = kTrackers,
+                           .activation_threshold = 1ull << 40};
+    double best = 0;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      TrrTracker trr(config, /*num_banks=*/1);
+      for (std::uint32_t row = 0; row < kTrackers; ++row) {
+        for (std::uint64_t i = 0; i < kPrefill; ++i) {
+          (void)trr.on_activate(0, row);
+        }
+      }
+      const double t0 = bench::HostSeconds();
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        benchmark::DoNotOptimize(trr.advance(0, 100, 100, kActsPerCall));
+      }
+      const double elapsed = bench::HostSeconds() - t0;
+      if (rep == 0 || elapsed < best) best = elapsed;
+    }
+    trr_short_advance_per_s = static_cast<double>(kCalls) / best;
+  }
+
   const double scalar_ns = scalar_s / (kBatches * kPairs) * 1e9;
   const double batched_ns = batched_s / (kBatches * kPairs) * 1e9;
   const double trr_scalar_ns = trr_scalar_s / (kBatches * kPairs) * 1e9;
@@ -362,16 +430,19 @@ void ReportHammerHotPath() {
   report.set("hammer_pattern_wide_acts_per_s", wide_acts_per_s);
   report.set("ftl_unmapped_read_ns_per_io", ftl_read_ns);
   report.set("crc_block_checks_per_s", crc_checks_per_s);
+  report.set("qp_flush_cmds_per_s", qp_flush_cmds_per_s);
+  report.set("trr_short_advance_per_s", trr_short_advance_per_s);
   report.write();
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); wide pattern %.0f acts/s; %.0f crc block checks/s "
+      "(%.1fx); wide pattern %.0f acts/s; %.0f crc block checks/s; "
+      "%.0f qp flush cmds/s; %.0f short trr advances/s "
       "-> BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
       trr_batched_ns, trr_scalar_ns / trr_batched_ns, wide_acts_per_s,
-      crc_checks_per_s);
+      crc_checks_per_s, qp_flush_cmds_per_s, trr_short_advance_per_s);
 }
 
 }  // namespace

@@ -21,12 +21,39 @@ const char* to_string(StatusCode code) {
   return "UNKNOWN";
 }
 
+Status::Status(StatusCode code, std::string message) : code_(code) {
+  if (code != StatusCode::kOk && !message.empty()) {
+    message_ = std::make_unique<std::string>(std::move(message));
+  }
+}
+
+Status::Status(const Status& other)
+    : code_(other.code_),
+      message_(other.message_
+                   ? std::make_unique<std::string>(*other.message_)
+                   : nullptr) {}
+
+Status& Status::operator=(const Status& other) {
+  if (this != &other) {
+    code_ = other.code_;
+    message_ = other.message_
+                   ? std::make_unique<std::string>(*other.message_)
+                   : nullptr;
+  }
+  return *this;
+}
+
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return message_ ? *message_ : kEmpty;
+}
+
 std::string Status::to_string() const {
   if (ok()) return "OK";
   std::string out = rhsd::to_string(code_);
-  if (!message_.empty()) {
+  if (message_) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }

@@ -6,6 +6,7 @@
 // values of type Status so that callers can observe and react to them.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -33,17 +34,25 @@ enum class StatusCode {
 
 [[nodiscard]] const char* to_string(StatusCode code);
 
+/// An OK status is two zero words: the code inline, and a null message
+/// pointer.  Only a non-OK status with a message allocates, so the
+/// per-command completion path never touches the heap on success.
 class [[nodiscard]] Status {
  public:
   Status() = default;  // OK
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status(StatusCode code, std::string message);
+
+  Status(const Status& other);
+  Status& operator=(const Status& other);
+  Status(Status&& other) noexcept = default;
+  Status& operator=(Status&& other) noexcept = default;
 
   [[nodiscard]] static Status Ok() { return Status(); }
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const { return code_; }
-  [[nodiscard]] const std::string& message() const { return message_; }
+  /// Empty for an OK status (and for an error built without a message).
+  [[nodiscard]] const std::string& message() const;
 
   [[nodiscard]] std::string to_string() const;
 
@@ -53,7 +62,7 @@ class [[nodiscard]] Status {
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::unique_ptr<std::string> message_;
 };
 
 [[nodiscard]] Status InvalidArgument(std::string msg);

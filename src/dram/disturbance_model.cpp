@@ -22,7 +22,8 @@ DisturbanceModel::DisturbanceModel(DramProfile profile, std::uint64_t seed,
       row_bytes_(row_bytes),
       total_rows_(total_rows),
       flags_(total_rows, 0),
-      min_threshold_(total_rows, std::numeric_limits<double>::infinity()) {
+      min_threshold_(total_rows, std::numeric_limits<double>::infinity()),
+      list_of_(total_rows, 0) {
   RHSD_CHECK(row_bytes_ > 0);
   RHSD_CHECK(total_rows_ > 0);
   if (total_rows_ <= kEagerProbeLimit) {
@@ -51,9 +52,11 @@ const std::vector<VulnCell>& DisturbanceModel::cells(
     RHSD_CHECK(!generated.empty());
     min_threshold_[global_row] = generated.front().threshold;
     f |= kGenerated;
-    return cells_.emplace(global_row, std::move(generated)).first->second;
+    RHSD_CHECK(cells_.size() <= std::numeric_limits<std::uint32_t>::max());
+    list_of_[global_row] = static_cast<std::uint32_t>(cells_.size());
+    return cells_.emplace_back(std::move(generated));
   }
-  return cells_.at(global_row);
+  return cells_[list_of_[global_row]];
 }
 
 std::vector<VulnCell> DisturbanceModel::generate(

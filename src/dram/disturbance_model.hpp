@@ -20,12 +20,13 @@
 // (a vulnerable-row bitmap and a min-threshold cache) so the activation
 // path can reject invulnerable victims with one byte load and reject
 // under-threshold exposures with one double compare — the full cell
-// list is only materialized for vulnerable rows that get checked.
+// list is only materialized for vulnerable rows that get checked, and
+// then found through a flat 4 B/row index, not a hash lookup.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -104,8 +105,13 @@ class DisturbanceModel {
   std::uint64_t total_rows_;
   std::vector<std::uint8_t> flags_;
   std::vector<double> min_threshold_;
-  /// Full cell lists, vulnerable rows only (typically a small fraction).
-  std::unordered_map<std::uint64_t, std::vector<VulnCell>> cells_;
+  /// Full cell lists, vulnerable rows only (typically a small fraction),
+  /// in generation order.  A deque never moves its elements on
+  /// push_back, so references handed out by cells() stay valid.
+  std::deque<std::vector<VulnCell>> cells_;
+  /// list_of_[row] indexes cells_; meaningful only once the row's
+  /// kGenerated flag is set.
+  std::vector<std::uint32_t> list_of_;
   const std::vector<VulnCell> no_cells_;
 };
 

@@ -105,7 +105,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
   bool detect = true;
   std::uint64_t e = 1;
   while (e <= events && !steady()) {
-    if (detect) {
+    if (detect && e > kScalarStepsBeforeDetect) {
       const std::string key = SerializeState(table, one_row ? 0 : e % 2);
       const auto [it, inserted] =
           seen.emplace(key, std::make_pair(e, out.size()));
@@ -226,7 +226,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
   bool detect = true;
   std::uint64_t e = 1;
   while (e <= events && !steady()) {
-    if (detect) {
+    if (detect && e > kScalarStepsBeforeDetect) {
       const std::string key = SerializeState(table, (e - 1) % period);
       const auto [it, inserted] =
           seen.emplace(key, std::make_pair(e, out.size()));

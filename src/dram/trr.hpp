@@ -44,6 +44,16 @@ struct TrrConfig {
 
 class TrrTracker {
  public:
+  /// Scalar steps of a batched call's transient taken before cycle
+  /// detection starts.  A state key costs a table copy, a sort, a
+  /// string and a hash insert, far more than the on_activate() step it
+  /// guards, so short calls (repeat_read's h-1 = 4 activations per L2P
+  /// lookup) just step.  Starting later is bit-exact: detection only
+  /// ever swaps scalar steps for a replay of the identical recorded
+  /// emissions, and a cycle entered earlier is still found one period
+  /// after detection starts.
+  static constexpr std::uint64_t kScalarStepsBeforeDetect = 64;
+
   TrrTracker(TrrConfig config, std::uint32_t num_banks);
 
   /// Record an activation of `row` in `bank`.  Returns the aggressor row

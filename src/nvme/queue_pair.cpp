@@ -49,7 +49,11 @@ NvmeCommand NvmeCommand::Flush(std::uint16_t cid, std::uint32_t nsid) {
 
 NvmeQueuePair::NvmeQueuePair(NvmeController& controller, std::uint16_t qid,
                              std::uint32_t depth)
-    : controller_(controller), qid_(qid), depth_(depth) {
+    : controller_(controller),
+      qid_(qid),
+      depth_(depth),
+      sq_(depth),
+      cq_(2 * depth) {
   RHSD_CHECK_MSG(depth_ >= 2, "NVMe queues need a depth of at least 2");
 }
 
@@ -64,10 +68,12 @@ Status NvmeQueuePair::submit(NvmeCommand command) {
 }
 
 Status NvmeQueuePair::abort(std::uint16_t cid) {
-  for (auto it = sq_.begin(); it != sq_.end(); ++it) {
-    if (it->cid != cid) continue;
-    sq_.erase(it);
+  for (std::uint32_t i = 0; i < sq_.size(); ++i) {
+    if (sq_[i].cid != cid) continue;
+    sq_.erase(i);
     ++stats_.aborts;
+    // Abort never fails for lack of completion space.
+    if (cq_.size() == cq_.capacity()) cq_.grow();
     cq_.push_back(NvmeCompletion{
         cid, Aborted("command " + std::to_string(cid) + " aborted by host"),
         controller_.clock().now_ns()});

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -146,6 +146,64 @@ class NvmeQueuePair {
   [[nodiscard]] const NvmeQueueStats& queue_stats() const { return stats_; }
 
  private:
+  /// FIFO over one array allocated up front (head index plus size,
+  /// wrapping at the capacity), so the per-command path does no node
+  /// allocation and no deque block arithmetic.  Callers keep size()
+  /// below capacity() before push_back(); only grow() reallocates.
+  template <typename T>
+  class Ring {
+   public:
+    explicit Ring(std::uint32_t capacity)
+        : slots_(std::make_unique<T[]>(capacity)), capacity_(capacity) {}
+
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::uint32_t size() const { return size_; }
+    [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
+    /// i-th entry from the head (0 = oldest).
+    [[nodiscard]] T& operator[](std::uint32_t i) {
+      return slots_[wrap(head_ + i)];
+    }
+    [[nodiscard]] const T& front() const { return slots_[head_]; }
+    [[nodiscard]] T& front() { return slots_[head_]; }
+
+    void push_back(T value) {
+      RHSD_CHECK(size_ < capacity_);
+      slots_[wrap(head_ + size_)] = std::move(value);
+      ++size_;
+    }
+    void pop_front() {
+      head_ = wrap(head_ + 1);
+      --size_;
+    }
+    /// Remove the i-th entry, keeping the order of the others.
+    void erase(std::uint32_t i) {
+      for (; i + 1 < size_; ++i) (*this)[i] = std::move((*this)[i + 1]);
+      --size_;
+    }
+    /// Double the capacity, unwrapping the entries to the front.
+    void grow() {
+      auto bigger = std::make_unique<T[]>(2 * capacity_);
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        bigger[i] = std::move((*this)[i]);
+      }
+      slots_ = std::move(bigger);
+      capacity_ *= 2;
+      head_ = 0;
+    }
+
+   private:
+    // head_ + i < 2 * capacity_ for every index used, so one compare
+    // replaces the modulo.
+    [[nodiscard]] std::uint32_t wrap(std::uint32_t i) const {
+      return i >= capacity_ ? i - capacity_ : i;
+    }
+
+    std::unique_ptr<T[]> slots_;
+    std::uint32_t capacity_;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+  };
+
   /// One command through the attempt/timeout/backoff loop.
   Status execute_with_retry(const NvmeCommand& command);
   Status execute_once(const NvmeCommand& command);
@@ -154,8 +212,13 @@ class NvmeQueuePair {
   std::uint16_t qid_;
   std::uint32_t depth_;
   NvmeRetryPolicy policy_;
-  std::deque<NvmeCommand> sq_;
-  std::deque<NvmeCompletion> cq_;
+  /// `depth` entries.
+  Ring<NvmeCommand> sq_;
+  /// `2 * depth` entries: process() stops at `depth` pending
+  /// completions, and abort() may add one per queued command on top.
+  /// abort() grows it if even that is exceeded (aborts of refilled
+  /// submissions while nothing is polled).
+  Ring<NvmeCompletion> cq_;
   NvmeQueueStats stats_;
 };
 

@@ -74,6 +74,95 @@ TEST(Status, AllConstructorsProduceTheirCode) {
   EXPECT_EQ(Unimplemented("x").code(), StatusCode::kUnimplemented);
 }
 
+// An OK status is two words (code + null message pointer); the message
+// of an error lives out of line.
+static_assert(sizeof(Status) <= 2 * sizeof(void*));
+
+TEST(Status, OkHasEmptyMessage) {
+  EXPECT_TRUE(Status::Ok().message().empty());
+  EXPECT_EQ(Status::Ok().to_string(), "OK");
+  const Status copy = Status::Ok();
+  EXPECT_TRUE(copy.ok());
+  EXPECT_TRUE(copy.message().empty());
+}
+
+TEST(Status, ErrorWithoutMessage) {
+  const Status s = Corruption("");
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(s.message().empty());
+  EXPECT_EQ(s.to_string(), "CORRUPTION");
+}
+
+TEST(Status, CopyConstructKeepsCodeAndMessage) {
+  const Status original = PermissionDenied("not yours");
+  const Status copy(original);
+  EXPECT_EQ(copy.code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(copy.message(), "not yours");
+  // Deep copy: the original is untouched and owns its own message.
+  EXPECT_EQ(original.message(), "not yours");
+  EXPECT_NE(&copy.message(), &original.message());
+}
+
+TEST(Status, CopyAssignKeepsCodeAndMessage) {
+  const Status original = OutOfRange("lba 9 past end");
+  Status target = NotFound("overwritten");
+  target = original;
+  EXPECT_EQ(target.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(target.message(), "lba 9 past end");
+  EXPECT_EQ(original.message(), "lba 9 past end");
+  // Assigning OK over an error clears the message.
+  target = Status::Ok();
+  EXPECT_TRUE(target.ok());
+  EXPECT_TRUE(target.message().empty());
+}
+
+TEST(Status, SelfAssignKeepsCodeAndMessage) {
+  Status s = Aborted("host abort");
+  const Status& alias = s;
+  s = alias;
+  EXPECT_EQ(s.code(), StatusCode::kAborted);
+  EXPECT_EQ(s.message(), "host abort");
+}
+
+TEST(Status, MoveConstructKeepsCodeAndMessage) {
+  Status source = Unavailable("transient");
+  const Status moved(std::move(source));
+  EXPECT_EQ(moved.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(moved.message(), "transient");
+}
+
+TEST(Status, MoveAssignKeepsCodeAndMessage) {
+  Status source = DeadlineExceeded("retries exhausted");
+  Status target = InvalidArgument("old");
+  target = std::move(source);
+  EXPECT_EQ(target.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(target.message(), "retries exhausted");
+}
+
+TEST(Status, MovedFromCanBeReassigned) {
+  Status source = ResourceExhausted("full");
+  const Status sink(std::move(source));
+  source = Corruption("bad crc");  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.code(), StatusCode::kCorruption);
+  EXPECT_EQ(source.message(), "bad crc");
+  source = Status::Ok();
+  EXPECT_TRUE(source.ok());
+  EXPECT_EQ(sink.message(), "full");
+}
+
+TEST(StatusOr, CopyOfErrorKeepsStatus) {
+  const StatusOr<int> error = NotFound("gone");
+  const StatusOr<int> copy(error);
+  ASSERT_FALSE(copy.ok());
+  EXPECT_EQ(copy.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(copy.status().message(), "gone");
+  StatusOr<int> assigned = 7;
+  assigned = error;
+  ASSERT_FALSE(assigned.ok());
+  EXPECT_EQ(assigned.status().message(), "gone");
+  EXPECT_EQ(error.status().message(), "gone");
+}
+
 TEST(StatusOr, HoldsValue) {
   StatusOr<int> v = 42;
   ASSERT_TRUE(v.ok());

@@ -3,6 +3,8 @@
 // double- vs single-sided exposure weighting.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dram/disturbance_model.hpp"
 
 namespace rhsd {
@@ -32,6 +34,29 @@ TEST(DisturbanceModel, DeterministicPerSeedAndRow) {
       EXPECT_EQ(ca[i].failure_value, cb[i].failure_value);
       EXPECT_DOUBLE_EQ(ca[i].threshold, cb[i].threshold);
     }
+  }
+}
+
+TEST(DisturbanceModel, CellsReferenceSurvivesOtherRowsBeingGenerated) {
+  constexpr std::uint64_t kRows = 4096;
+  DisturbanceModel model(TestProfile(), /*seed=*/5, 4096, kRows);
+  std::uint64_t row = 0;
+  while (!model.row_is_vulnerable(row)) ++row;
+  const std::vector<VulnCell>& ref = model.cells(row);
+  ASSERT_FALSE(ref.empty());
+  const std::vector<VulnCell> snapshot = ref;
+  const VulnCell* const data = ref.data();
+  for (std::uint64_t other = 0; other < kRows; ++other) {
+    if (other != row) static_cast<void>(model.cells(other));
+  }
+  EXPECT_EQ(&model.cells(row), &ref);
+  ASSERT_EQ(ref.data(), data);
+  ASSERT_EQ(ref.size(), snapshot.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(ref[i].byte_offset, snapshot[i].byte_offset);
+    EXPECT_EQ(ref[i].bit, snapshot[i].bit);
+    EXPECT_EQ(ref[i].failure_value, snapshot[i].failure_value);
+    EXPECT_EQ(ref[i].threshold, snapshot[i].threshold);
   }
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "nvme/queue_pair.hpp"
 #include "test_util.hpp"
@@ -192,6 +194,134 @@ TEST(QueuePair, ProcessRespectsCompletionRingCapacity) {
   EXPECT_EQ(qp.process(), 0u);
   (void)qp.poll();
   EXPECT_EQ(qp.process(), 1u);
+}
+
+// ---- Ring behaviour: the SQ/CQ are fixed arrays with wrapping indices.
+
+TEST(QueuePair, RingsWrapAndKeepFifoOrder) {
+  QpRig rig;
+  NvmeQueuePair qp(*rig.controller, 1, /*depth=*/4);
+  std::vector<std::uint8_t> out(kBlockSize);
+  // Every third command is an out-of-range read, so statuses vary
+  // along the stream and must stay paired with their cids.
+  const auto expect_ok = [](std::uint16_t cid) { return cid % 3 != 2; };
+  constexpr std::uint16_t kCommands = 3 * 4 + 7;
+  std::vector<NvmeCompletion> completions;
+  std::uint16_t next = 0;
+  // Uneven submit/process/poll batches move the ring heads through
+  // every slot offset.
+  for (std::uint32_t step = 0; completions.size() < kCommands; ++step) {
+    for (std::uint32_t k = 0; k < 1 + step % 4 && next < kCommands; ++k) {
+      NvmeCommand cmd = expect_ok(next)
+                            ? NvmeCommand::Flush(next, 1)
+                            : NvmeCommand::Read(next, 1, 9999, out);
+      if (!qp.submit(std::move(cmd)).ok()) break;
+      ++next;
+    }
+    (void)qp.process(1 + step % 3);
+    for (std::uint32_t k = 0; k < 1 + step % 2; ++k) {
+      auto completion = qp.poll();
+      if (!completion) break;
+      completions.push_back(std::move(*completion));
+    }
+    ASSERT_LT(step, 1000u) << "ring stalled";
+  }
+  ASSERT_EQ(completions.size(), kCommands);
+  for (std::uint16_t i = 0; i < kCommands; ++i) {
+    EXPECT_EQ(completions[i].cid, i);
+    if (expect_ok(i)) {
+      EXPECT_TRUE(completions[i].status.ok()) << i;
+    } else {
+      EXPECT_EQ(completions[i].status.code(), StatusCode::kOutOfRange) << i;
+      EXPECT_FALSE(completions[i].status.message().empty()) << i;
+    }
+  }
+  EXPECT_EQ(qp.sq_inflight(), 0u);
+  EXPECT_EQ(qp.cq_pending(), 0u);
+}
+
+TEST(QueuePair, AbortWithFullCompletionRingLosesNothing) {
+  QpRig rig;
+  constexpr std::uint32_t kDepth = 4;
+  NvmeQueuePair qp(*rig.controller, 1, kDepth);
+  const auto cid_of = [](std::uint32_t v) {
+    return static_cast<std::uint16_t>(v);
+  };
+  // `depth` completions left unpolled: process() now refuses to run.
+  for (std::uint32_t i = 0; i < kDepth; ++i) {
+    ASSERT_TRUE(qp.submit(NvmeCommand::Flush(cid_of(i), 1)).ok());
+  }
+  ASSERT_EQ(qp.process(), kDepth);
+  ASSERT_EQ(qp.cq_pending(), kDepth);
+  // Two more full submission rings, each aborted entirely (out of
+  // order) while nothing is polled: the second round exceeds 2 x depth
+  // pending completions.
+  std::vector<std::uint16_t> abort_order;
+  for (std::uint32_t round = 1; round <= 2; ++round) {
+    for (std::uint32_t k = 0; k < kDepth; ++k) {
+      ASSERT_TRUE(
+          qp.submit(NvmeCommand::Flush(cid_of(round * kDepth + k), 1)).ok());
+    }
+    EXPECT_EQ(qp.process(), 0u);
+    for (const std::uint32_t k : {2u, 0u, 3u, 1u}) {
+      const std::uint16_t cid = cid_of(round * kDepth + k);
+      ASSERT_TRUE(qp.abort(cid).ok()) << cid;
+      abort_order.push_back(cid);
+    }
+    EXPECT_EQ(qp.sq_inflight(), 0u);
+  }
+  EXPECT_EQ(qp.cq_pending(), 3 * kDepth);
+  EXPECT_EQ(qp.queue_stats().aborts, 2 * kDepth);
+
+  std::vector<NvmeCompletion> completions;
+  while (auto completion = qp.poll()) {
+    completions.push_back(std::move(*completion));
+  }
+  ASSERT_EQ(completions.size(), 3 * kDepth);
+  for (std::uint32_t i = 0; i < kDepth; ++i) {
+    EXPECT_EQ(completions[i].cid, cid_of(i));
+    EXPECT_TRUE(completions[i].status.ok());
+  }
+  for (std::size_t i = 0; i < abort_order.size(); ++i) {
+    const NvmeCompletion& c = completions[kDepth + i];
+    EXPECT_EQ(c.cid, abort_order[i]);
+    EXPECT_EQ(c.status.code(), StatusCode::kAborted);
+  }
+  // The grown ring keeps working as a normal queue.
+  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(99, 1)).ok());
+  const auto tail = qp.drain();
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].cid, 99u);
+}
+
+TEST(QueuePair, AbortFromMiddleOfWrappedSubmissionRing) {
+  QpRig rig;
+  NvmeQueuePair qp(*rig.controller, 1, /*depth=*/4);
+  // Move the SQ head to slot 3, so the next four submissions wrap.
+  for (std::uint16_t cid = 0; cid < 3; ++cid) {
+    ASSERT_TRUE(qp.submit(NvmeCommand::Flush(cid, 1)).ok());
+  }
+  ASSERT_EQ(qp.drain().size(), 3u);
+  for (const std::uint16_t cid : {std::uint16_t{10}, std::uint16_t{11},
+                                  std::uint16_t{12}, std::uint16_t{13}}) {
+    ASSERT_TRUE(qp.submit(NvmeCommand::Flush(cid, 1)).ok());
+  }
+  ASSERT_TRUE(qp.abort(11).ok());
+  ASSERT_TRUE(qp.abort(13).ok());
+  EXPECT_EQ(qp.sq_inflight(), 2u);
+  ASSERT_NE(qp.peek_submission(), nullptr);
+  EXPECT_EQ(qp.peek_submission()->cid, 10u);
+  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(14, 1)).ok());
+
+  const auto completions = qp.drain();
+  std::vector<std::uint16_t> cids;
+  for (const auto& c : completions) cids.push_back(c.cid);
+  EXPECT_EQ(cids, (std::vector<std::uint16_t>{11, 13, 10, 12, 14}));
+  EXPECT_EQ(completions[0].status.code(), StatusCode::kAborted);
+  EXPECT_EQ(completions[1].status.code(), StatusCode::kAborted);
+  for (std::size_t i = 2; i < completions.size(); ++i) {
+    EXPECT_TRUE(completions[i].status.ok()) << completions[i].cid;
+  }
 }
 
 TEST(QueuePair, ErrorsTravelInCompletions) {

@@ -161,5 +161,99 @@ TEST(Trr, BatchedAdvanceMatchesScalarOnRandomHistories) {
   }
 }
 
+// Cycle detection in advance()/advance_cmds() starts only after
+// TrrTracker::kScalarStepsBeforeDetect scalar steps.  Both sides of that
+// start must be bit-exact with scalar on_activate(): emissions,
+// refreshes_issued(), and the final table (checked with a probe tail).
+// Event counts off the cycle period (4K + 1, 10K + 7) leave a sub-period
+// tail after a replay.
+struct DetectCase {
+  const char* name;
+  TrrConfig config;
+  std::vector<std::uint32_t> prehistory;  // scalar activations first
+  std::vector<std::uint32_t> cmd_rows;
+  std::uint64_t repeat = 1;
+};
+
+void ExpectBatchedMatchesScalar(const DetectCase& c, bool use_advance,
+                                std::uint64_t events) {
+  SCOPED_TRACE(::testing::Message()
+               << c.name << (use_advance ? " advance" : " advance_cmds")
+               << " events=" << events);
+  TrrTracker batched(c.config, /*num_banks=*/1);
+  TrrTracker scalar(c.config, /*num_banks=*/1);
+  for (const std::uint32_t row : c.prehistory) {
+    ASSERT_EQ(batched.on_activate(0, row), scalar.on_activate(0, row));
+  }
+  const std::uint64_t m = c.cmd_rows.size();
+  const std::vector<TrrEmission> emissions =
+      use_advance ? batched.advance(0, c.cmd_rows.front(),
+                                    c.cmd_rows.back(), events)
+                  : batched.advance_cmds(0, c.cmd_rows, c.repeat, events);
+  std::vector<TrrEmission> expected;
+  for (std::uint64_t e = 1; e <= events; ++e) {
+    const std::uint32_t row = c.cmd_rows[((e - 1) / c.repeat) % m];
+    if (const auto fired = scalar.on_activate(0, row)) {
+      expected.push_back(TrrEmission{e, *fired});
+    }
+  }
+  ASSERT_EQ(emissions.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(emissions[i].index, expected[i].index) << "emission " << i;
+    EXPECT_EQ(emissions[i].row, expected[i].row) << "emission " << i;
+  }
+  EXPECT_EQ(batched.refreshes_issued(), scalar.refreshes_issued());
+  // Probe: a threshold-long burst per row fires at an index that depends
+  // on whether that row is tracked and at what count; then random rows.
+  std::vector<std::uint32_t> burst_rows = c.cmd_rows;
+  burst_rows.insert(burst_rows.end(), {0, 1, 2, 3});
+  for (const std::uint32_t row : burst_rows) {
+    for (std::uint64_t i = 0; i <= c.config.activation_threshold; ++i) {
+      ASSERT_EQ(batched.on_activate(0, row), scalar.on_activate(0, row))
+          << "burst row " << row << " step " << i;
+    }
+  }
+  Rng rng(events);
+  for (std::uint64_t i = 0; i < 4 * c.config.activation_threshold; ++i) {
+    const auto row = static_cast<std::uint32_t>(rng.next_below(4));
+    ASSERT_EQ(batched.on_activate(0, row), scalar.on_activate(0, row))
+        << "probe " << i;
+  }
+}
+
+TEST(Trr, BatchedMatchesScalarAcrossTheDetectionStart) {
+  constexpr std::uint64_t K = TrrTracker::kScalarStepsBeforeDetect;
+  const TrrConfig one_tracker{.trackers_per_bank = 1,
+                              .activation_threshold = 5};
+  // A one-row transient that outlasts K: row 3 sits at count 150, so the
+  // pattern row needs 150 decrements before it is tracked, then fires
+  // every 200th own activation.
+  const TrrConfig slow{.trackers_per_bank = 1, .activation_threshold = 200};
+  const std::vector<std::uint32_t> hot_row3(150, 3);
+  const std::vector<DetectCase> cases = {
+      // A single tracker thrashed by two alternating rows: never
+      // absorbs both, settles into a period-2 cycle.
+      {"thrash", one_tracker, {}, {1, 2}},
+      {"thrash_after_hot_row", slow, hot_row3, {1, 2}},
+      {"one_row", one_tracker, {}, {1}},
+      {"one_row_after_hot_row", slow, hot_row3, {1}},
+      // Commands of 8 activations: each row fires inside its own burst,
+      // then the other row drains it, so the cycle emits and detection
+      // replays recorded refreshes (advance_cmds only: advance() has no
+      // repeat).
+      {"thrash_with_fires", one_tracker, {}, {1, 2}, /*repeat=*/8},
+  };
+  for (const DetectCase& c : cases) {
+    for (const std::uint64_t events :
+         {std::uint64_t{1}, std::uint64_t{4}, K - 1, K, K + 1, 4 * K,
+          4 * K + 1, 10 * K, 10 * K + 7}) {
+      if (c.repeat == 1) {
+        ExpectBatchedMatchesScalar(c, /*use_advance=*/true, events);
+      }
+      ExpectBatchedMatchesScalar(c, /*use_advance=*/false, events);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rhsd
