@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "dram/ecc.hpp"
 
@@ -117,8 +118,6 @@ DramDevice::DramDevice(DramConfig config,
         mapper_->decode(DramAddr(k * config_.geometry.row_bytes))
             .global_row(config_.geometry));
   }
-  neighbor_refresh_active_ = config_.mitigations.trr ||
-                             config_.mitigations.para_probability > 0.0;
 }
 
 void DramDevice::roll_window(std::uint64_t global_row) {
@@ -142,17 +141,12 @@ DramDevice::RowData& DramDevice::materialize(std::uint64_t global_row) {
   return *p;
 }
 
-DramDevice::RefreshBases DramDevice::bases_of(
-    std::uint64_t global_row) const {
-  // Baselines are only ever written by targeted refreshes, which only
-  // TRR and PARA issue; with neither enabled every row's baselines are
-  // identically zero and the lookup is skipped.
-  if (!neighbor_refresh_active_) return RefreshBases{};
-  const auto it = refresh_bases_.find(global_row);
-  if (it == refresh_bases_.end() || it->second.window != current_window()) {
-    return RefreshBases{};  // stale entries read as zeros (window rolled)
+void DramDevice::set_bases(std::uint64_t global_row,
+                           const RefreshBases& bases) {
+  if (refresh_bases_.empty()) {
+    refresh_bases_.resize(config_.geometry.total_rows());
   }
-  return it->second;
+  refresh_bases_[global_row] = bases;
 }
 
 bool DramDevice::para_decide() {
@@ -245,7 +239,7 @@ void DramDevice::target_refresh_neighbors(
       if (auto r = neighbor(*victim, +1)) nb.right = acts_now(*r);
       if (auto l2 = neighbor(*victim, -2)) nb.left2 = acts_now(*l2);
       if (auto r2 = neighbor(*victim, +2)) nb.right2 = acts_now(*r2);
-      refresh_bases_[*victim] = nb;
+      set_bases(*victim, nb);
     }
   }
 }
@@ -590,9 +584,7 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
 
   // Now the deferred baseline writes: scalar leaves each refreshed row's
   // entry at its *last* refresh of the batch.
-  for (const auto& [row, list] : refreshed) {
-    refresh_bases_[row] = list.back().bases;
-  }
+  for (const auto& [row, list] : refreshed) set_bases(row, list.back().bases);
 
   if (pending.empty()) return;
   std::stable_sort(pending.begin(), pending.end(),
@@ -1336,7 +1328,7 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   }
   if (trr_.has_value()) stats_.trr_refreshes = trr_->refreshes_issued();
   for (std::size_t i = 0; i < bases_commit.size(); ++i) {
-    refresh_bases_[bases_commit_rows.keys()[i]] = bases_commit[i];
+    set_bases(bases_commit_rows.keys()[i], bases_commit[i]);
   }
   if (!pending.empty()) {
     std::stable_sort(pending.begin(), pending.end(),
@@ -1433,26 +1425,61 @@ void DramDevice::update_ecc(RowData& rd, std::uint32_t first_byte,
   }
 }
 
-Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
+void DramDevice::tick_read_fault(DramAddr addr, std::size_t size) {
+  if (injector_ == nullptr) return;
+  if (const auto fault = injector_->tick(FaultClass::kDramBitError);
+      fault.has_value() && size != 0) {
+    // Transient (soft) bit error: flip one stored bit, leaving the
+    // check bytes untouched so SECDED sees a genuine mismatch — the
+    // same corruption shape as a disturbance flip.  param selects the
+    // bit (low 3 bits) and the byte within the accessed span.
+    const std::uint64_t target = addr.value() + (fault->param >> 3) % size;
+    RowData& rd = materialize(global_row_of(DramAddr(target)));
+    rd.data[target % config_.geometry.row_bytes] ^=
+        static_cast<std::uint8_t>(1u << (fault->param & 7));
+    ++stats_.injected_bit_errors;
+  }
+}
+
+Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out,
+                        std::uint64_t touches) {
   if (addr.value() + out.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM read past end of device");
   }
-  ++stats_.reads;
-  if (injector_ != nullptr) {
-    if (const auto fault = injector_->tick(FaultClass::kDramBitError);
-        fault.has_value() && !out.empty()) {
-      // Transient (soft) bit error: flip one stored bit, leaving the
-      // check bytes untouched so SECDED sees a genuine mismatch — the
-      // same corruption shape as a disturbance flip.  param selects the
-      // bit (low 3 bits) and the byte within the accessed span.
-      const std::uint64_t target =
-          addr.value() + (fault->param >> 3) % out.size();
-      RowData& rd = materialize(global_row_of(DramAddr(target)));
-      rd.data[target % config_.geometry.row_bytes] ^=
-          static_cast<std::uint8_t>(1u << (fault->param & 7));
-      ++stats_.injected_bit_errors;
+  RHSD_CHECK(touches > 0);
+  const std::uint32_t row_bytes = config_.geometry.row_bytes;
+  const auto off = static_cast<std::uint32_t>(addr.value() % row_bytes);
+  if (touches == 1 || cache_.has_value() || out.empty() ||
+      off + out.size() > row_bytes) {
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      RHSD_RETURN_IF_ERROR(read_touch(addr, out));
     }
+    return Status::Ok();
   }
+  // One row, no cache: the first touch's fault tick, ECC verify and copy,
+  // then all the touches' activations as one batch (see the header).
+  ++stats_.reads;
+  tick_read_fault(addr, out.size());
+  const std::uint64_t grow = global_row_of(addr);
+  RowData* rd = row_data_[grow].get();
+  const auto len = static_cast<std::uint32_t>(out.size());
+  if (Status s = verify_and_correct_ecc(rd, off, len, grow); !s.ok()) {
+    activate(grow);  // the failing touch still activated its row
+    return s;
+  }
+  if (rd == nullptr || rd->data.empty()) {
+    std::memset(out.data(), 0, len);
+  } else {
+    std::memcpy(out.data(), rd->data.data() + off, len);
+  }
+  stats_.reads += touches - 1;
+  hammer_events(grow, grow, touches);
+  return Status::Ok();
+}
+
+Status DramDevice::read_touch(DramAddr addr, std::span<std::uint8_t> out) {
+  ++stats_.reads;
+  tick_read_fault(addr, out.size());
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   std::uint64_t a = addr.value();
   std::size_t done = 0;
@@ -1487,10 +1514,36 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
   return Status::Ok();
 }
 
-Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
+Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data,
+                         std::uint64_t touches) {
   if (addr.value() + data.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM write past end of device");
   }
+  RHSD_CHECK(touches > 0);
+  const std::uint32_t row_bytes = config_.geometry.row_bytes;
+  const auto off = static_cast<std::uint32_t>(addr.value() % row_bytes);
+  if (touches == 1 || cache_.has_value() || data.empty() ||
+      off + data.size() > row_bytes) {
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      RHSD_RETURN_IF_ERROR(write_touch(addr, data));
+    }
+    return Status::Ok();
+  }
+  // One row, no cache: rewriting identical bytes is idempotent, so one
+  // copy and ECC update stand for every touch; the row's own activations
+  // do not disturb it, so the copy may precede them.
+  stats_.writes += touches;
+  const std::uint64_t grow = global_row_of(addr);
+  const auto len = static_cast<std::uint32_t>(data.size());
+  RowData& rd = materialize(grow);
+  std::memcpy(rd.data.data() + off, data.data(), len);
+  update_ecc(rd, off, len);
+  hammer_events(grow, grow, touches);
+  return Status::Ok();
+}
+
+Status DramDevice::write_touch(DramAddr addr,
+                               std::span<const std::uint8_t> data) {
   ++stats_.writes;
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   std::uint64_t a = addr.value();
@@ -1517,67 +1570,6 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
     a += chunk;
     done += chunk;
   }
-  return Status::Ok();
-}
-
-Status DramDevice::repeat_read(DramAddr addr, std::span<std::uint8_t> out,
-                               std::uint64_t extra) {
-  if (addr.value() + out.size() > config_.geometry.total_bytes()) {
-    return OutOfRange("DRAM read past end of device");
-  }
-  if (extra == 0) return Status::Ok();
-  if (out.empty()) {
-    stats_.reads += extra;  // empty reads touch no rows
-    return Status::Ok();
-  }
-  const std::uint32_t row_bytes = config_.geometry.row_bytes;
-  const std::uint64_t first_row = addr.value() / row_bytes;
-  const std::uint64_t last_row = (addr.value() + out.size() - 1) / row_bytes;
-  if (cache_.has_value() || first_row != last_row) {
-    // Cache state evolves per access, and a span touching two adjacent
-    // rows lets each repeat disturb data it then reads — replay the
-    // accesses faithfully in either case.
-    for (std::uint64_t i = 0; i < extra; ++i) {
-      RHSD_RETURN_IF_ERROR(read(addr, out));
-    }
-    return Status::Ok();
-  }
-  // One row, no cache: repeats of the just-completed read cannot change
-  // the buffer (the row's own activations disturb only its neighbors),
-  // the ECC state (scrubbed by the first read), or the outcome — only
-  // the activations and their neighbor disturbance remain.
-  stats_.reads += extra;
-  const std::uint64_t grow = global_row_of(addr);
-  hammer_events(grow, grow, extra);
-  return Status::Ok();
-}
-
-Status DramDevice::repeat_write(DramAddr addr,
-                                std::span<const std::uint8_t> data,
-                                std::uint64_t extra) {
-  if (addr.value() + data.size() > config_.geometry.total_bytes()) {
-    return OutOfRange("DRAM write past end of device");
-  }
-  if (extra == 0) return Status::Ok();
-  if (data.empty()) {
-    stats_.writes += extra;
-    return Status::Ok();
-  }
-  const std::uint32_t row_bytes = config_.geometry.row_bytes;
-  const std::uint64_t first_row = addr.value() / row_bytes;
-  const std::uint64_t last_row = (addr.value() + data.size() - 1) / row_bytes;
-  if (cache_.has_value() || first_row != last_row) {
-    for (std::uint64_t i = 0; i < extra; ++i) {
-      RHSD_RETURN_IF_ERROR(write(addr, data));
-    }
-    return Status::Ok();
-  }
-  // Rewriting identical bytes is idempotent (memcpy and ECC update
-  // reproduce the state the first write left); only the activations and
-  // their neighbor disturbance remain.
-  stats_.writes += extra;
-  const std::uint64_t grow = global_row_of(addr);
-  hammer_events(grow, grow, extra);
   return Status::Ok();
 }
 

@@ -9,10 +9,11 @@
 // injection.
 //
 // Two execution paths produce identical results:
-//  * the scalar path — read()/write() activate rows one at a time and
-//    run a victim check per activation;
-//  * the batched fast path — hammer_pair()/hammer_row()/repeat_read()/
-//    repeat_write() coalesce a run of activations whose interleaving is
+//  * the scalar path — activations one at a time, each with its own
+//    victim check (hammer_pair_scalar()/hammer_row_scalar(), and a
+//    single-touch read()/write());
+//  * the batched fast path — hammer_pair()/hammer_row() and a multi-touch
+//    read()/write() coalesce a run of activations whose interleaving is
 //    known (the FTL's per-I/O hammer amplification, the attack
 //    orchestrator's aggressor loops) into one row-state update plus a
 //    single closed-form victim check per refresh-window segment.  The
@@ -34,7 +35,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -131,12 +131,31 @@ class DramDevice {
   DramDevice(const DramDevice&) = delete;
   DramDevice& operator=(const DramDevice&) = delete;
 
-  /// Read bytes. Activates each touched row (unless the cache absorbs
-  /// it).  Returns Corruption if ECC detects an uncorrectable error.
-  Status read(DramAddr addr, std::span<std::uint8_t> out);
+  /// Read bytes, `touches` (>= 1) times back to back: the FTL's per-I/O
+  /// hammer amplification re-reads one L2P entry.  Each touch activates
+  /// the rows of the span (unless the cache absorbs it).  Returns
+  /// Corruption if ECC detects an uncorrectable error; touches after the
+  /// failing one do not happen.
+  ///
+  /// Bit-exact with `touches` single-touch calls, except that several
+  /// touches of a span in one row with no cache consult the fault
+  /// injector once per call, not once per touch.  That case is one batch:
+  /// the first touch's fault tick, ECC verify and copy, then
+  /// hammer_events(row, row, touches).  A row's own activations never
+  /// disturb that row, so its ECC check and copy commute with them.  If
+  /// that ECC check fails, the call counts one read and one activation,
+  /// like the failing single-touch read.  A cache (whose state evolves
+  /// per access) or a span crossing a row (one row's activations disturb
+  /// the other's bytes) replays touch by touch instead.
+  Status read(DramAddr addr, std::span<std::uint8_t> out,
+              std::uint64_t touches = 1);
 
-  /// Write bytes. Always activates the touched rows.
-  Status write(DramAddr addr, std::span<const std::uint8_t> data);
+  /// Write bytes `touches` (>= 1) times; every touch activates the rows
+  /// of the span.  Bit-exact with `touches` single-touch calls: in one
+  /// row with no cache the rewrites of identical bytes are idempotent
+  /// and only their activations are replayed, as one batch.
+  Status write(DramAddr addr, std::span<const std::uint8_t> data,
+               std::uint64_t touches = 1);
 
   /// Batched fast path: `pairs` alternating activations of the two
   /// aggressors (a, b, a, b, ... — 2*pairs accesses), equivalent to the
@@ -221,19 +240,6 @@ class DramDevice {
     }
   }
 
-  /// Repeat the read of `out`'s span `extra` more times, batched.  Must
-  /// directly follow a *successful* read() of the same span into the
-  /// same buffer: the repeats then cannot change the buffer, the ECC
-  /// state, or the error outcome, so only the activations (and their
-  /// disturbance) are replayed.  Spans crossing a row boundary or a
-  /// configured cache fall back to scalar read() calls.
-  Status repeat_read(DramAddr addr, std::span<std::uint8_t> out,
-                     std::uint64_t extra);
-  /// Repeat the write of `data` `extra` more times, batched.  Must
-  /// directly follow a write() of the same data to the same span.
-  Status repeat_write(DramAddr addr, std::span<const std::uint8_t> data,
-                      std::uint64_t extra);
-
   /// Inspect memory without activations, stats, or ECC (for tests and
   /// experiment harnesses, not part of the modeled device interface).
   void peek(DramAddr addr, std::span<std::uint8_t> out) const;
@@ -308,8 +314,8 @@ class DramDevice {
 
   /// Exposure baselines: neighbor activation counts at the last
   /// targeted refresh of a row (TRR/PARA), valid only within `window`.
-  /// The `2` pair covers distance-2 neighbors (Half-Double).  Rows
-  /// without an entry (or with a stale one) have all-zero baselines.
+  /// The `2` pair covers distance-2 neighbors (Half-Double).  A stale
+  /// window (or a row never refreshed) reads as all-zero baselines.
   struct RefreshBases {
     std::uint64_t window = ~0ull;
     std::uint64_t left = 0;
@@ -332,7 +338,19 @@ class DramDevice {
 
   void roll_window(std::uint64_t global_row);
   RowData& materialize(std::uint64_t global_row);
-  [[nodiscard]] RefreshBases bases_of(std::uint64_t global_row) const;
+  [[nodiscard]] RefreshBases bases_of(std::uint64_t global_row) const {
+    if (refresh_bases_.empty()) return RefreshBases{};
+    const RefreshBases& bases = refresh_bases_[global_row];
+    return bases.window == current_window() ? bases : RefreshBases{};
+  }
+  void set_bases(std::uint64_t global_row, const RefreshBases& bases);
+  /// One touch of read()/write(): each row of the span in turn is
+  /// activated, then read (ECC-verified) or written.
+  Status read_touch(DramAddr addr, std::span<std::uint8_t> out);
+  Status write_touch(DramAddr addr, std::span<const std::uint8_t> data);
+  /// read()'s per-call fault tick: an injected kDramBitError flips one
+  /// stored bit inside the span.
+  void tick_read_fault(DramAddr addr, std::size_t size);
   /// One PARA decision from the global RNG (one draw per decision for
   /// p in (0,1); p >= 1 decides true without drawing).
   [[nodiscard]] bool para_decide();
@@ -421,11 +439,11 @@ class DramDevice {
   std::vector<std::uint64_t> row_window_;  // ~0 = never touched
   std::vector<std::uint64_t> row_acts_;
   std::vector<std::unique_ptr<RowData>> row_data_;
-  /// Sparse: only rows that received a targeted refresh (TRR/PARA).
-  std::unordered_map<std::uint64_t, RefreshBases> refresh_bases_;
-  /// True iff TRR or PARA can write refresh_bases_; when false the
-  /// activation path skips the baseline lookup entirely.
-  bool neighbor_refresh_active_ = false;
+  /// Targeted-refresh baselines per global row, window-stamped like
+  /// row_window_.  Only TRR and PARA write them, so the table is
+  /// allocated on the first targeted refresh (set_bases()); until then
+  /// every row's baselines are zero.
+  std::vector<RefreshBases> refresh_bases_;
 };
 
 }  // namespace rhsd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace rhsd {
@@ -14,11 +15,12 @@ namespace {
 // stepping, which is still no slower than the scalar path.
 constexpr std::size_t kMaxCycleStates = 4096;
 
-std::string SerializeState(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& table,
-    std::uint64_t parity) {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries(table.begin(),
-                                                               table.end());
+template <typename Entry>
+std::string SerializeState(std::span<const Entry> table,
+                           std::uint64_t parity) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+  entries.reserve(table.size());
+  for (const Entry& entry : table) entries.emplace_back(entry.row, entry.count);
   std::sort(entries.begin(), entries.end());
   std::string key;
   key.reserve(8 + entries.size() * 12);
@@ -41,43 +43,53 @@ std::string SerializeState(
 }  // namespace
 
 TrrTracker::TrrTracker(TrrConfig config, std::uint32_t num_banks)
-    : config_(config), tables_(num_banks) {
+    : config_(config), sizes_(num_banks, 0) {
   RHSD_CHECK(config_.trackers_per_bank > 0);
   RHSD_CHECK(config_.activation_threshold > 0);
+  entries_.resize(static_cast<std::size_t>(num_banks) *
+                  config_.trackers_per_bank);
+}
+
+TrrTracker::Entry* TrrTracker::find(std::uint32_t bank, std::uint32_t row) {
+  for (Entry& entry : table(bank)) {
+    if (entry.row == row) return &entry;
+  }
+  return nullptr;
 }
 
 std::optional<std::uint32_t> TrrTracker::on_activate(std::uint32_t bank,
                                                      std::uint32_t row) {
-  RHSD_CHECK(bank < tables_.size());
-  auto& table = tables_[bank];
-
-  auto it = table.find(row);
-  if (it != table.end()) {
-    if (++it->second >= config_.activation_threshold) {
+  RHSD_CHECK(bank < sizes_.size());
+  if (Entry* entry = find(bank, row)) {
+    if (++entry->count >= config_.activation_threshold) {
       // Fire a targeted refresh at this aggressor's neighbors and
       // restart its count.
-      it->second = 0;
+      entry->count = 0;
       ++refreshes_issued_;
       return row;
     }
     return std::nullopt;
   }
 
-  if (table.size() < config_.trackers_per_bank) {
-    table.emplace(row, 1);
+  std::uint32_t& size = sizes_[bank];
+  Entry* const slots = table(bank).data();
+  if (size < config_.trackers_per_bank) {
+    slots[size++] = Entry{row, 1};
     return std::nullopt;
   }
 
   // Misra–Gries decrement step: an untracked row arrives while the table
   // is full — decrement everyone, dropping exhausted entries.  This is
   // the bounded-capacity behaviour that many-sided hammering exploits.
-  for (auto entry = table.begin(); entry != table.end();) {
-    if (--entry->second == 0) {
-      entry = table.erase(entry);
-    } else {
-      ++entry;
-    }
+  // A count a fire just restarted at 0 wraps to ~0 here and stays.
+  // (Each entry is decremented in a register and stored once: a store
+  // of the count read back as a whole entry stalls store forwarding.)
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < size; ++i) {
+    const Entry entry{slots[i].row, slots[i].count - 1};
+    if (entry.count != 0) slots[kept++] = entry;
   }
+  size = kept;
   return std::nullopt;
 }
 
@@ -85,14 +97,14 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
                                              std::uint32_t row_a,
                                              std::uint32_t row_b,
                                              std::uint64_t events) {
-  RHSD_CHECK(bank < tables_.size());
+  RHSD_CHECK(bank < sizes_.size());
   std::vector<TrrEmission> out;
-  auto& table = tables_[bank];
   const std::uint64_t threshold = config_.activation_threshold;
   const bool one_row = row_a == row_b;
 
   const auto steady = [&] {
-    return table.count(row_a) != 0 && (one_row || table.count(row_b) != 0);
+    return find(bank, row_a) != nullptr &&
+           (one_row || find(bank, row_b) != nullptr);
   };
 
   // Phase 1: replay the transient one activation at a time until the
@@ -106,7 +118,8 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
   std::uint64_t e = 1;
   while (e <= events && !steady()) {
     if (detect && e > kScalarStepsBeforeDetect) {
-      const std::string key = SerializeState(table, one_row ? 0 : e % 2);
+      const std::string key =
+          SerializeState<Entry>(table(bank), one_row ? 0 : e % 2);
       const auto [it, inserted] =
           seen.emplace(key, std::make_pair(e, out.size()));
       if (!inserted) {
@@ -149,7 +162,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
     const auto fold = [&](std::uint32_t row, std::uint64_t first_index,
                           std::uint64_t stride, std::uint64_t n) {
       if (n == 0) return;
-      std::uint64_t& count = table[row];
+      std::uint64_t& count = find(bank, row)->count;
       std::uint64_t j1;  // 1-based own-activation index of the first fire
       if (count == ~0ull) {
         j1 = 1 + threshold;  // first increment wraps to 0, no fire
@@ -194,11 +207,10 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
 std::vector<TrrEmission> TrrTracker::advance_cmds(
     std::uint32_t bank, std::span<const std::uint32_t> cmd_rows,
     std::uint64_t repeat, std::uint64_t events) {
-  RHSD_CHECK(bank < tables_.size());
+  RHSD_CHECK(bank < sizes_.size());
   RHSD_CHECK(!cmd_rows.empty());
   RHSD_CHECK(repeat > 0);
   std::vector<TrrEmission> out;
-  auto& table = tables_[bank];
   const std::uint64_t threshold = config_.activation_threshold;
   const std::uint64_t m = cmd_rows.size();
   const std::uint64_t period = m * repeat;  // activations per pattern period
@@ -209,7 +221,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
                  distinct.end());
   const auto steady = [&] {
     for (const std::uint32_t r : distinct) {
-      if (table.count(r) == 0) return false;
+      if (find(bank, r) == nullptr) return false;
     }
     return true;
   };
@@ -227,7 +239,8 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
   std::uint64_t e = 1;
   while (e <= events && !steady()) {
     if (detect && e > kScalarStepsBeforeDetect) {
-      const std::string key = SerializeState(table, (e - 1) % period);
+      const std::string key =
+          SerializeState<Entry>(table(bank), (e - 1) % period);
       const auto [it, inserted] =
           seen.emplace(key, std::make_pair(e, out.size()));
       if (!inserted) {
@@ -288,7 +301,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
         }
         const std::uint64_t n = full * m_r + tail;
         if (n == 0) continue;
-        std::uint64_t& count = table[row];
+        std::uint64_t& count = find(bank, row)->count;
         std::uint64_t j1;  // 1-based own-activation index of the first fire
         if (count == ~0ull) {
           j1 = 1 + threshold;  // first increment wraps to 0, no fire
@@ -320,8 +333,6 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
   return out;
 }
 
-void TrrTracker::reset() {
-  for (auto& table : tables_) table.clear();
-}
+void TrrTracker::reset() { std::fill(sizes_.begin(), sizes_.end(), 0u); }
 
 }  // namespace rhsd

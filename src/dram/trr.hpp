@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -47,8 +46,8 @@ class TrrTracker {
   /// Scalar steps of a batched call's transient taken before cycle
   /// detection starts.  A state key costs a table copy, a sort, a
   /// string and a hash insert, far more than the on_activate() step it
-  /// guards, so short calls (repeat_read's h-1 = 4 activations per L2P
-  /// lookup) just step.  Starting later is bit-exact: detection only
+  /// guards, so short calls (DramDevice::read(addr, out, 5)'s one-row
+  /// 5-activation batch per L2P lookup) just step.  Starting later is bit-exact: detection only
   /// ever swaps scalar steps for a replay of the identical recorded
   /// emissions, and a cycle entered earlier is still found one period
   /// after detection starts.
@@ -97,9 +96,28 @@ class TrrTracker {
   }
 
  private:
+  /// One tracked row of a bank's Misra–Gries summary.
+  struct Entry {
+    std::uint32_t row = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// Bank `bank`'s tracked entries, in no meaningful order: the summary's
+  /// find / insert / decrement-all steps do not depend on it.
+  [[nodiscard]] std::span<Entry> table(std::uint32_t bank) {
+    return {entries_.data() +
+                static_cast<std::size_t>(bank) * config_.trackers_per_bank,
+            sizes_[bank]};
+  }
+  /// The entry tracking `row` in `bank`, or nullptr.
+  [[nodiscard]] Entry* find(std::uint32_t bank, std::uint32_t row);
+
   TrrConfig config_;
-  // Misra–Gries summary per bank: row -> counter.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> tables_;
+  // Misra–Gries summary per bank, flat: bank b owns the trackers_per_bank
+  // slots from b * trackers_per_bank, of which the first sizes_[b] hold
+  // entries.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> sizes_;
   std::uint64_t refreshes_issued_ = 0;
 };
 

@@ -146,9 +146,8 @@ Status Ftl::guard_op(bool mutating) {
 }
 
 bool Ftl::l2p_batched_ok(DramAddr addr) const {
-  // The batched repeat path needs the per-access cache interaction and
-  // cross-row disturbance cases out of the way; otherwise replay the
-  // accesses one by one exactly as before.
+  // hammer_pattern models neither the per-access cache interaction nor
+  // an entry whose two rows disturb each other.
   if (dram_.config().mitigations.cache.has_value()) return false;
   const std::uint32_t row_bytes = dram_.config().geometry.row_bytes;
   return addr.value() % row_bytes + L2pLayout::kEntryBytes <= row_bytes;
@@ -158,33 +157,14 @@ Status Ftl::l2p_load(Lba lba, std::uint32_t& pba32) {
   const DramAddr addr = layout_->entry_addr(lba.value());
   std::uint8_t buf[L2pLayout::kEntryBytes];
   // Amplification: firmware touches the entry's row several times per
-  // request (§4.1 used 5 hammers per I/O).  The first touch does the
-  // real transfer; the repeats reduce to row activations, which the
-  // DRAM's batched fast path coalesces.
-  ++stats_.l2p_dram_reads;
-  Status s = dram_.read(addr, buf);
+  // request (§4.1 used 5 hammers per I/O), one DRAM batch.  A failing
+  // touch ends it, so count the touches the DRAM actually made.
+  const std::uint64_t reads_before = dram_.stats().reads;
+  const Status s = dram_.read(addr, buf, config_.hammers_per_io);
+  stats_.l2p_dram_reads += dram_.stats().reads - reads_before;
   if (!s.ok()) {
     ++stats_.l2p_corruption_errors;
     return s;
-  }
-  if (config_.hammers_per_io > 1) {
-    if (l2p_batched_ok(addr)) {
-      stats_.l2p_dram_reads += config_.hammers_per_io - 1;
-      s = dram_.repeat_read(addr, buf, config_.hammers_per_io - 1);
-      if (!s.ok()) {
-        ++stats_.l2p_corruption_errors;
-        return s;
-      }
-    } else {
-      for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_.l2p_dram_reads;
-        s = dram_.read(addr, buf);
-        if (!s.ok()) {
-          ++stats_.l2p_corruption_errors;
-          return s;
-        }
-      }
-    }
   }
   pba32 = Load32(buf);
   return Status::Ok();
@@ -194,21 +174,10 @@ Status Ftl::l2p_store(Lba lba, std::uint32_t pba32) {
   const DramAddr addr = layout_->entry_addr(lba.value());
   std::uint8_t buf[L2pLayout::kEntryBytes];
   Store32(buf, pba32);
-  ++stats_.l2p_dram_writes;
-  RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
-  if (config_.hammers_per_io > 1) {
-    if (l2p_batched_ok(addr)) {
-      stats_.l2p_dram_writes += config_.hammers_per_io - 1;
-      RHSD_RETURN_IF_ERROR(
-          dram_.repeat_write(addr, buf, config_.hammers_per_io - 1));
-    } else {
-      for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_.l2p_dram_writes;
-        RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
-      }
-    }
-  }
-  return Status::Ok();
+  // A DRAM write fails only out of range, which the constructor's
+  // table-fits check rules out: every touch happens.
+  stats_.l2p_dram_writes += config_.hammers_per_io;
+  return dram_.write(addr, buf, config_.hammers_per_io);
 }
 
 void Ftl::mark_invalid(Pba pba) {

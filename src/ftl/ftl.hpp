@@ -272,8 +272,9 @@ class Ftl {
   /// L2P entry access through DRAM, with hammer amplification.
   Status l2p_load(Lba lba, std::uint32_t& pba32);
   Status l2p_store(Lba lba, std::uint32_t pba32);
-  /// Whether the amplification repeats for `addr` may use the DRAM's
-  /// batched fast path (no cache in front, entry within one row).
+  /// Whether plan_pattern_replay() may hand the entry at `addr` to
+  /// DramDevice::hammer_pattern (no cache in front, entry within one
+  /// row).
   [[nodiscard]] bool l2p_batched_ok(DramAddr addr) const;
 
   StatusOr<Pba> allocate_page();

@@ -1,8 +1,9 @@
 // Bit-exactness of the batched hammer fast path.
 //
 // Every test drives two identically configured devices — one through
-// the batched entry points (hammer_pair / hammer_row / repeat_read /
-// repeat_write), one through the scalar reference path — and requires
+// the batched entry points (hammer_pair / hammer_row and the multi-touch
+// read(addr, out, touches) / write(addr, data, touches)), one through the
+// scalar reference path — and requires
 // *identical* outcomes: the same DramStats, the same FlipEvent sequence
 // (order included), and the same bytes in every row.  This is the
 // contract that lets the FTL and the attack orchestrator use the fast
@@ -10,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "dram/dram_device.hpp"
 #include "exec/experiment_engine.hpp"
+#include "fault/fault_injector.hpp"
 #include "test_util.hpp"
 
 namespace rhsd {
@@ -516,11 +519,10 @@ TEST(HammerParity, RepeatReadMatchesScalarReads) {
     std::uint8_t buf[4] = {0, 0, 0, 0};
     // Aggressor row 10 hammers rows 9 and 11 via plain repeated reads.
     for (int round = 0; round < 1500; ++round) {
-      ASSERT_TRUE(d.read(addr, buf).ok());
       if (batched) {
-        ASSERT_TRUE(d.repeat_read(addr, buf, 9).ok());
+        ASSERT_TRUE(d.read(addr, buf, 10).ok());
       } else {
-        for (int i = 0; i < 9; ++i) ASSERT_TRUE(d.read(addr, buf).ok());
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.read(addr, buf).ok());
       }
     }
   });
@@ -531,14 +533,222 @@ TEST(HammerParity, RepeatWriteMatchesScalarWrites) {
     const DramAddr addr(20 * 512 + 8);
     const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
     for (int round = 0; round < 1500; ++round) {
-      ASSERT_TRUE(d.write(addr, data).ok());
       if (batched) {
-        ASSERT_TRUE(d.repeat_write(addr, data, 9).ok());
+        ASSERT_TRUE(d.write(addr, data, 10).ok());
       } else {
-        for (int i = 0; i < 9; ++i) ASSERT_TRUE(d.write(addr, data).ok());
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.write(addr, data).ok());
       }
     }
   });
+}
+
+// ---- read/write(addr, buf, h) against h single-touch calls ----------
+//
+// The FTL's L2P access is one read(addr, buf, hammers_per_io) call.  It
+// must equal hammers_per_io single-touch calls in everything observable,
+// under every configuration that changes how a touch behaves.  The one
+// documented difference: several touches of a span inside one row with
+// no cache tick the fault injector once per call, so the reference
+// detaches the injector for touches 2..h of such a span.
+
+struct TouchCase {
+  const char* name;
+  DramConfig config;
+  FaultPlan faults;  // empty: no injector attached
+};
+
+bool BatchesAsOneCall(const DramDevice& d, DramAddr addr, std::size_t len) {
+  const std::uint32_t row_bytes = d.config().geometry.row_bytes;
+  return !d.config().mitigations.cache.has_value() && len != 0 &&
+         addr.value() % row_bytes + len <= row_bytes;
+}
+
+/// `touches` single-touch reads, stopping at the first failure.
+Status ScalarReads(DramDevice& d, DramAddr addr, std::span<std::uint8_t> out,
+                   std::uint64_t touches) {
+  FaultInjector* injector = d.fault_injector();
+  Status s;
+  for (std::uint64_t i = 0; i < touches && s.ok(); ++i) {
+    if (i == 1 && BatchesAsOneCall(d, addr, out.size())) {
+      d.set_fault_injector(nullptr);
+    }
+    s = d.read(addr, out);
+  }
+  d.set_fault_injector(injector);
+  return s;
+}
+
+Status ScalarWrites(DramDevice& d, DramAddr addr,
+                    std::span<const std::uint8_t> data,
+                    std::uint64_t touches) {
+  Status s;
+  for (std::uint64_t i = 0; i < touches && s.ok(); ++i) s = d.write(addr, data);
+  return s;
+}
+
+/// Everything a touch can change, beyond ExpectSameOutcome's checks.
+void ExpectSameMitigationState(const DramDevice& batched,
+                               const DramDevice& scalar) {
+  EXPECT_EQ(batched.stats().injected_bit_errors,
+            scalar.stats().injected_bit_errors);
+  EXPECT_EQ(batched.trr_refreshes_issued(), scalar.trr_refreshes_issued());
+  Rng para_b = batched.para_rng_state();
+  Rng para_s = scalar.para_rng_state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(para_b.next(), para_s.next());
+}
+
+/// Drive `h`-touch L2P-shaped traffic through both devices: reads of
+/// entries on the two aggressors around victim row 11, one in bank 1,
+/// and one that straddles rows 30/31; periodic rewrites of two of them.
+/// Returns the bit flips the traffic caused.
+std::uint64_t RunTouchTraffic(const TouchCase& c, std::uint64_t h) {
+  SCOPED_TRACE(::testing::Message() << c.name << " h=" << h);
+  SimClock clock_b;
+  SimClock clock_s;
+  auto batched = MakeDevice(c.config, clock_b);
+  auto scalar = MakeDevice(c.config, clock_s);
+  std::unique_ptr<FaultInjector> inj_b;
+  std::unique_ptr<FaultInjector> inj_s;
+  if (!c.faults.empty()) {
+    inj_b = std::make_unique<FaultInjector>(c.faults);
+    inj_s = std::make_unique<FaultInjector>(c.faults);
+    batched->set_fault_injector(inj_b.get());
+    scalar->set_fault_injector(inj_s.get());
+  }
+  const DramAddr entries[] = {DramAddr(10 * 512 + 64), DramAddr(12 * 512 + 8),
+                              DramAddr((64 + 20) * 512 + 100),
+                              DramAddr(30 * 512 + 510)};
+  // ~9000 touches per entry: enough for row 11 to cross its thresholds.
+  const std::uint64_t rounds = 9000 / h + 50;
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < std::size(entries); ++i) {
+      if ((i == 0 && round % 7 == 3) || (i == 3 && round % 11 == 5)) {
+        std::uint8_t data[4];
+        for (int k = 0; k < 4; ++k) {
+          data[k] = static_cast<std::uint8_t>(round * 31 + i * 7 + k);
+        }
+        const Status sb = batched->write(entries[i], data, h);
+        const Status ss = ScalarWrites(*scalar, entries[i], data, h);
+        EXPECT_EQ(sb.code(), ss.code()) << "round " << round;
+        continue;
+      }
+      std::uint8_t out_b[4] = {};
+      std::uint8_t out_s[4] = {};
+      const Status sb = batched->read(entries[i], out_b, h);
+      const Status ss = ScalarReads(*scalar, entries[i], out_s, h);
+      EXPECT_EQ(sb.code(), ss.code()) << "round " << round << " entry " << i;
+      EXPECT_TRUE(std::equal(out_b, out_b + 4, out_s))
+          << "round " << round << " entry " << i;
+    }
+  }
+  ExpectSameOutcome(*batched, *scalar);
+  ExpectSameMitigationState(*batched, *scalar);
+  EXPECT_GT(batched->stats().activations, 0u);
+  if (inj_b != nullptr) {
+    EXPECT_EQ(inj_b->ops(FaultClass::kDramBitError),
+              inj_s->ops(FaultClass::kDramBitError));
+    EXPECT_EQ(inj_b->log().size(), inj_s->log().size());
+  }
+  return batched->stats().bitflips;
+}
+
+TEST(HammerParity, TouchesMatchSingleTouchCalls) {
+  std::vector<TouchCase> cases;
+  const auto add = [&](const char* name, auto&& tweak) {
+    TouchCase c{name, BaseConfig(40 + cases.size()), {}};
+    tweak(c);
+    cases.push_back(std::move(c));
+  };
+  add("plain", [](TouchCase&) {});
+  add("trr", [](TouchCase& c) {
+    c.config.mitigations.trr = true;
+    c.config.mitigations.trr_config = TestTrr(700, /*trackers=*/2);
+  });
+  add("para", [](TouchCase& c) {
+    c.config.mitigations.para_probability = 1.0 / 64;
+  });
+  add("trr_para", [](TouchCase& c) {
+    c.config.mitigations.trr = true;
+    c.config.mitigations.trr_config = TestTrr(700);
+    c.config.mitigations.para_probability = 1.0 / 256;
+  });
+  add("ecc", [](TouchCase& c) { c.config.mitigations.ecc = true; });
+  add("cache", [](TouchCase& c) {
+    c.config.mitigations.cache = CacheConfig{.line_bytes = 64,
+                                             .ways = 1,
+                                             .sets = 2};
+  });
+  add("open_page", [](TouchCase& c) {
+    c.config.row_buffer_policy = RowBufferPolicy::kOpenPage;
+  });
+  add("half_double_trr", [](TouchCase& c) {
+    c.config.profile.half_double_weight = 0.1;
+    c.config.mitigations.trr = true;
+    c.config.mitigations.trr_config = TestTrr(700, 4, /*distance=*/2);
+  });
+  const auto bit_errors = [](TouchCase& c) {
+    for (std::uint64_t op = 3; op < 20000; op += 997) {
+      c.faults.add(FaultClass::kDramBitError, op, 1, op * 13);
+    }
+  };
+  add("bit_errors", bit_errors);
+  add("bit_errors_ecc", [&](TouchCase& c) {
+    bit_errors(c);
+    c.config.mitigations.ecc = true;
+  });
+  for (const TouchCase& c : cases) {
+    for (const std::uint64_t h : {1, 2, 5, 9}) {
+      const std::uint64_t flips = RunTouchTraffic(c, h);
+      if (c.faults.empty() && !c.config.mitigations.trr &&
+          c.config.mitigations.para_probability == 0.0 &&
+          !c.config.mitigations.cache.has_value()) {
+        // Guard against vacuous parity where nothing mitigates or
+        // absorbs the touches.
+        EXPECT_GT(flips, 0u) << c.name << " h=" << h;
+      }
+    }
+  }
+}
+
+TEST(HammerParity, UncorrectableFirstTouchCountsOneTouch) {
+  // A victim row dense with cells, hammered until many of its ECC words
+  // hold two or more flips; then every word is read with h touches.  A
+  // word that is uncorrectable fails on the first touch: one read, one
+  // activation, like the failing single-touch read.
+  DramConfig c = BaseConfig(21);
+  c.mitigations.ecc = true;
+  c.profile.max_cells_per_row = 256;
+  for (const std::uint64_t h : {1, 2, 5, 9}) {
+    SCOPED_TRACE(::testing::Message() << "h=" << h);
+    SimClock clock_b;
+    SimClock clock_s;
+    auto batched = MakeDevice(c, clock_b);
+    auto scalar = MakeDevice(c, clock_s);
+    std::uint64_t failed = 0;
+    for (DramDevice* d : {batched.get(), scalar.get()}) {
+      d->hammer_pair(9, 11, 20000);
+    }
+    for (std::uint32_t word = 0; word < 64; ++word) {
+      const DramAddr addr(10 * 512 + word * 8);
+      std::uint8_t out_b[8] = {};
+      std::uint8_t out_s[8] = {};
+      const DramStats before = batched->stats();
+      const Status sb = batched->read(addr, out_b, h);
+      const Status ss = ScalarReads(*scalar, addr, out_s, h);
+      ASSERT_EQ(sb.code(), ss.code()) << "word " << word;
+      if (sb.ok()) {
+        ASSERT_TRUE(std::equal(out_b, out_b + 8, out_s)) << "word " << word;
+        continue;
+      }
+      ++failed;
+      EXPECT_EQ(sb.code(), StatusCode::kCorruption);
+      EXPECT_EQ(batched->stats().reads - before.reads, 1u);
+      EXPECT_EQ(batched->stats().activations - before.activations, 1u);
+    }
+    EXPECT_GT(failed, 0u) << "no uncorrectable word: the case is vacuous";
+    ExpectSameOutcome(*batched, *scalar);
+    ExpectSameMitigationState(*batched, *scalar);
+  }
 }
 
 TEST(HammerParity, AliasedOppositeCellsFallBackExactly) {

@@ -2,6 +2,8 @@
 // behaviour many-sided hammering exploits.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -253,6 +255,111 @@ TEST(Trr, BatchedMatchesScalarAcrossTheDetectionStart) {
       ExpectBatchedMatchesScalar(c, /*use_advance=*/false, events);
     }
   }
+}
+
+// Reference Misra–Gries summary on std::map, the textbook form of the
+// tracker: the flat per-bank slot arrays must fire at the same
+// activations from any stream.
+class MapMisraGries {
+ public:
+  MapMisraGries(TrrConfig config, std::uint32_t num_banks)
+      : config_(config), tables_(num_banks) {}
+
+  std::optional<std::uint32_t> on_activate(std::uint32_t bank,
+                                           std::uint32_t row) {
+    auto& table = tables_[bank];
+    if (auto it = table.find(row); it != table.end()) {
+      if (++it->second >= config_.activation_threshold) {
+        it->second = 0;
+        ++refreshes_;
+        return row;
+      }
+      return std::nullopt;
+    }
+    if (table.size() < config_.trackers_per_bank) {
+      table.emplace(row, 1);
+      return std::nullopt;
+    }
+    for (auto it = table.begin(); it != table.end();) {
+      if (it->second == 0) ++wraps_;  // a just-fired entry wraps to ~0
+      if (--it->second == 0) {
+        it = table.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return std::nullopt;
+  }
+  void reset() {
+    for (auto& table : tables_) table.clear();
+  }
+  [[nodiscard]] std::uint64_t refreshes() const { return refreshes_; }
+  [[nodiscard]] std::uint64_t wraps() const { return wraps_; }
+
+ private:
+  TrrConfig config_;
+  std::vector<std::map<std::uint32_t, std::uint64_t>> tables_;
+  std::uint64_t refreshes_ = 0;
+  std::uint64_t wraps_ = 0;
+};
+
+TEST(Trr, FlatTableMatchesMapReferenceOnRandomStreams) {
+  constexpr std::uint32_t kBanks = 3;
+  std::uint64_t total_wraps = 0;
+  std::uint64_t total_fires = 0;
+  for (const std::uint32_t trackers : {1u, 2u, 4u, 8u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trackers=" << trackers << " seed=" << seed);
+      Rng rng(seed * 7919 + trackers);
+      const TrrConfig config{.trackers_per_bank = trackers,
+                             .activation_threshold = 2 + rng.next_below(24)};
+      TrrTracker flat(config, kBanks);
+      MapMisraGries ref(config, kBanks);
+      // A row pool a little wider than the table, so streams both fill
+      // it (fires) and thrash it (decrements, including of entries a
+      // fire just restarted at 0).
+      const std::uint64_t pool = trackers + 3;
+      for (std::uint64_t step = 0; step < 20000; ++step) {
+        const auto bank = static_cast<std::uint32_t>(rng.next_below(kBanks));
+        if (rng.next_below(4000) == 0) {
+          flat.reset();
+          ref.reset();
+        } else if (rng.next_below(50) == 0) {
+          // A batched call mid-stream, against its scalar expansion.
+          const auto a = static_cast<std::uint32_t>(rng.next_below(pool));
+          const auto b = rng.next_bool(0.3)
+                             ? a
+                             : static_cast<std::uint32_t>(rng.next_below(pool));
+          const std::uint64_t events = rng.next_below(40);
+          const std::vector<TrrEmission> emitted =
+              flat.advance(bank, a, b, events);
+          std::size_t next = 0;
+          for (std::uint64_t e = 1; e <= events; ++e) {
+            if (const auto fired = ref.on_activate(bank, e % 2 ? a : b)) {
+              ASSERT_LT(next, emitted.size()) << "step " << step;
+              EXPECT_EQ(emitted[next].index, e) << "step " << step;
+              EXPECT_EQ(emitted[next].row, *fired) << "step " << step;
+              ++next;
+            }
+          }
+          ASSERT_EQ(next, emitted.size()) << "step " << step;
+        } else {
+          // Skewed rows: low ids are hot enough to reach the threshold.
+          const auto row = static_cast<std::uint32_t>(
+              rng.next_bool(0.5) ? rng.next_below(2) : rng.next_below(pool));
+          ASSERT_EQ(flat.on_activate(bank, row), ref.on_activate(bank, row))
+              << "step " << step;
+        }
+        ASSERT_EQ(flat.refreshes_issued(), ref.refreshes()) << "step " << step;
+      }
+      total_wraps += ref.wraps();
+      total_fires += ref.refreshes();
+    }
+  }
+  // The streams must reach both the fire and the 0 -> ~0 wrap paths.
+  EXPECT_GT(total_fires, 0u);
+  EXPECT_GT(total_wraps, 0u);
 }
 
 }  // namespace
