@@ -2,7 +2,8 @@
 # CI entry point: tier-1 build (warnings are errors) + tests, the full
 # test suite again under AddressSanitizer + UndefinedBehaviorSanitizer, a
 # ThreadSanitizer smoke of the parallel experiment engine
-# (tests/exec_smoke.cpp), the chaos determinism diff, and the perf gate.
+# (tests/exec_smoke.cpp), the chaos determinism diff, the repository
+# benchmark's self-test, and the perf gate.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -55,6 +56,13 @@ for BUILD_DIR in build build-tsan; do
   }
   echo "${BUILD_DIR}: $(wc -l <"${BUILD_DIR}/chaos.run1") digests stable"
 done
+
+echo "== perfbench selftest: the benchmark's correctness oracle =="
+# Every BENCHMARK.json workload at a tiny size, untraced and traced: the
+# traced, untraced and pooled digests must agree and the stale-read
+# excuses must hold, so a program change that breaks the benchmark's
+# oracle fails here.  Builds its own Release tree into .bench_build/.
+python3 perfbench/selftest.py
 
 echo "== perf gate: batched hammer hot path =="
 # bench_micro emits BENCH_hotpath.json into its working directory; the

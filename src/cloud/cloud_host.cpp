@@ -1,6 +1,5 @@
 #include "cloud/cloud_host.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace rhsd {
@@ -9,6 +8,7 @@ CloudHost::CloudHost(SsdConfig config, const fs::FormatOptions& fs_options) {
   RHSD_CHECK_MSG(config.partition_blocks.size() >= 2,
                  "cloud host needs victim and attacker partitions");
   ssd_ = std::make_unique<SsdDevice>(std::move(config));
+  owner_.assign(ssd_->controller().namespace_count(), kNoTenant);
   auto victim = add_tenant(
       TenantConfig{"victim-vm", 1, /*direct_access=*/false}, fs_options);
   RHSD_CHECK_MSG(victim.ok(), "victim tenant: " << victim.status());
@@ -22,31 +22,24 @@ StatusOr<TenantId> CloudHost::add_tenant(
   NvmeController& controller = ssd_->controller();
   if (config.nsid == TenantConfig::kAutoNsid) {
     // Lowest namespace no registered tenant claims yet.
-    for (std::uint32_t nsid = 1; nsid <= controller.namespace_count();
-         ++nsid) {
-      const auto taken = [&](const TenantSlot& s) {
-        return s.tenant->nsid() == nsid;
-      };
-      if (std::none_of(slots_.begin(), slots_.end(), taken)) {
-        config.nsid = nsid;
-        break;
-      }
+    while (first_free_nsid_ <= owner_.size() &&
+           owner_[first_free_nsid_ - 1] != kNoTenant) {
+      ++first_free_nsid_;
     }
-    if (config.nsid == TenantConfig::kAutoNsid) {
+    if (first_free_nsid_ > owner_.size()) {
       return ResourceExhausted("no free namespace for tenant '" +
                                config.name + "'");
     }
+    config.nsid = first_free_nsid_;
   } else {
-    if (config.nsid < 1 || config.nsid > controller.namespace_count()) {
+    if (config.nsid < 1 || config.nsid > owner_.size()) {
       return InvalidArgument("namespace " + std::to_string(config.nsid) +
                              " does not exist");
     }
-    for (const TenantSlot& s : slots_) {
-      if (s.tenant->nsid() == config.nsid) {
-        return AlreadyExists("namespace " + std::to_string(config.nsid) +
-                             " already claimed by tenant '" +
-                             s.tenant->name() + "'");
-      }
+    if (const TenantId owner = owner_[config.nsid - 1]; owner != kNoTenant) {
+      return AlreadyExists("namespace " + std::to_string(config.nsid) +
+                           " already claimed by tenant '" +
+                           slots_[owner].tenant->name() + "'");
     }
   }
 
@@ -58,8 +51,10 @@ StatusOr<TenantId> CloudHost::add_tenant(
     RHSD_ASSIGN_OR_RETURN(slot.fs,
                           fs::FileSystem::Format(*slot.bdev, fs_options));
   }
+  const auto id = static_cast<TenantId>(slots_.size());
+  owner_[config.nsid - 1] = id;
   slots_.push_back(std::move(slot));
-  return static_cast<TenantId>(slots_.size() - 1);
+  return id;
 }
 
 Tenant& CloudHost::tenant(TenantId id) {

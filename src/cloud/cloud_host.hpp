@@ -97,8 +97,16 @@ class CloudHost {
     std::unique_ptr<fs::FileSystem> fs;
   };
 
+  /// owner_ entry of a namespace no tenant has claimed.
+  static constexpr TenantId kNoTenant = ~TenantId{0};
+
   std::unique_ptr<SsdDevice> ssd_;
   std::vector<TenantSlot> slots_;
+  /// Tenant owning each namespace, indexed by nsid - 1.
+  std::vector<TenantId> owner_;
+  /// Lowest nsid that may still be free: every nsid below it is
+  /// claimed.  Tenants are never removed, so it only moves forward.
+  std::uint32_t first_free_nsid_ = 1;
 };
 
 }  // namespace rhsd

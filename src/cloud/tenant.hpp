@@ -20,9 +20,9 @@
 namespace rhsd {
 
 struct TenantConfig {
-  /// `nsid == kAutoNsid` asks CloudHost::add_tenant to assign the next
-  /// free namespace; constructing a Tenant directly requires a concrete
-  /// namespace id.
+  /// `nsid == kAutoNsid` asks CloudHost::add_tenant to assign the
+  /// lowest free namespace; constructing a Tenant directly requires a
+  /// concrete namespace id.
   static constexpr std::uint32_t kAutoNsid = 0;
 
   std::string name;

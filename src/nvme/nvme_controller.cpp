@@ -1,25 +1,29 @@
 #include "nvme/nvme_controller.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace rhsd {
 
 NvmeController::NvmeController(NvmeConfig config, Ftl& ftl, SimClock& clock)
     : config_(std::move(config)), ftl_(ftl), clock_(clock) {
   RHSD_CHECK_MSG(!config_.namespaces.empty(), "need at least one namespace");
-  // Validate bounds and non-overlap.
-  for (std::size_t i = 0; i < config_.namespaces.size(); ++i) {
-    const auto& ns = config_.namespaces[i];
+  // Validate bounds, then non-overlap: sorted by start, namespaces are
+  // pairwise disjoint iff each one ends at or before the next begins
+  // (none is empty).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  spans.reserve(config_.namespaces.size());
+  for (const auto& ns : config_.namespaces) {
     RHSD_CHECK_MSG(ns.blocks > 0, "empty namespace");
     RHSD_CHECK_MSG(ns.start.value() + ns.blocks <= ftl_.config().num_lbas,
                    "namespace exceeds device capacity");
-    for (std::size_t j = i + 1; j < config_.namespaces.size(); ++j) {
-      const auto& other = config_.namespaces[j];
-      const bool disjoint =
-          ns.start.value() + ns.blocks <= other.start.value() ||
-          other.start.value() + other.blocks <= ns.start.value();
-      RHSD_CHECK_MSG(disjoint, "namespaces overlap");
-    }
+    spans.emplace_back(ns.start.value(), ns.start.value() + ns.blocks);
+  }
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    RHSD_CHECK_MSG(spans[i - 1].second <= spans[i].first,
+                   "namespaces overlap");
   }
   if (config_.rate_limit.has_value()) {
     limiter_.emplace(*config_.rate_limit);

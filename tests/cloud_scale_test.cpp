@@ -1,15 +1,20 @@
 // N-tenant cloud scale tests: registry behaviour (auto-assignment,
-// collision rejection), K-tenant isolation under concurrent mixed
+// collision rejection, a differential check against the lowest-free
+// rule, a 1024-namespace fleet), K-tenant isolation under concurrent mixed
 // traffic through the event loop, and invariance of every tenant's
 // observable data to the arbitration seed and policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud_host.hpp"
+#include "common/rng.hpp"
 #include "nvme/event_loop.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
@@ -66,6 +71,113 @@ TEST(TenantRegistry, PartitionsAreDisjoint) {
           << "tenants " << a << " and " << b << " overlap";
     }
   }
+}
+
+/// `namespaces` partitions of SmallSsd: the victim's filesystem gets
+/// 512 blocks, the rest is split equally across the others.
+SsdConfig RegistrySsd(std::uint32_t namespaces) {
+  SsdConfig c = test::SmallSsd();
+  c.partition_blocks.assign(namespaces,
+                            (c.num_lbas() - 512) / (namespaces - 1));
+  c.partition_blocks[0] = 512;
+  return c;
+}
+
+TEST(TenantRegistry, MatchesLowestFreeRuleOnRandomClaims) {
+  constexpr std::uint32_t kNamespaces = 64;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    CloudHost host(RegistrySsd(kNamespaces));
+    // Reference registry: (nsid, name) per tenant in id order, and the
+    // rule the registry had before it kept an owner table — scan every
+    // candidate nsid against every registered tenant.
+    std::vector<std::pair<std::uint32_t, std::string>> ref = {
+        {1, "victim-vm"}, {2, "attacker-vm"}};
+    const auto owner_of = [&](std::uint32_t nsid) {
+      return std::find_if(ref.begin(), ref.end(),
+                          [&](const auto& r) { return r.first == nsid; });
+    };
+    Rng rng(seed);
+    bool saw_auto = false, saw_exhausted = false, saw_alias = false,
+         saw_bad = false, saw_explicit = false;
+    for (int step = 0; step < 300; ++step) {
+      TenantConfig config{.name = "t" + std::to_string(step)};
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind >= 4 && kind < 9) {
+        config.nsid = static_cast<std::uint32_t>(rng.next_in(1, kNamespaces));
+      } else if (kind == 9) {
+        // Out of range: past the last namespace, or far past it.
+        config.nsid = rng.next_bool(0.5)
+                          ? kNamespaces + 1 +
+                                static_cast<std::uint32_t>(rng.next_below(4))
+                          : 0xFFFFFFFFu;
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "step=" << step << " nsid=" << config.nsid);
+
+      std::uint32_t want_nsid = 0;
+      StatusCode want_code = StatusCode::kOk;
+      std::string want_owner;
+      if (config.nsid == TenantConfig::kAutoNsid) {
+        for (std::uint32_t nsid = 1; nsid <= kNamespaces; ++nsid) {
+          if (owner_of(nsid) == ref.end()) {
+            want_nsid = nsid;
+            break;
+          }
+        }
+        if (want_nsid == 0) want_code = StatusCode::kResourceExhausted;
+      } else if (config.nsid > kNamespaces) {
+        want_code = StatusCode::kInvalidArgument;
+      } else if (const auto it = owner_of(config.nsid); it != ref.end()) {
+        want_code = StatusCode::kAlreadyExists;
+        want_owner = it->second;
+      } else {
+        want_nsid = config.nsid;
+      }
+
+      const auto got = host.add_tenant(config);
+      ASSERT_EQ(got.status().code(), want_code) << got.status();
+      if (want_code == StatusCode::kAlreadyExists) {
+        EXPECT_NE(got.status().message().find("already claimed by tenant '" +
+                                              want_owner + "'"),
+                  std::string::npos)
+            << got.status();
+        saw_alias = true;
+      }
+      saw_exhausted |= want_code == StatusCode::kResourceExhausted;
+      saw_bad |= want_code == StatusCode::kInvalidArgument;
+      if (want_code != StatusCode::kOk) {
+        ASSERT_EQ(host.tenant_count(), ref.size());
+        continue;
+      }
+      ASSERT_EQ(*got, ref.size());
+      EXPECT_EQ(host.tenant(*got).nsid(), want_nsid);
+      EXPECT_EQ(host.tenant(*got).name(), config.name);
+      ref.emplace_back(want_nsid, config.name);
+      (config.nsid == TenantConfig::kAutoNsid ? saw_auto : saw_explicit) =
+          true;
+    }
+    // The mix reached every branch of the rule.
+    EXPECT_TRUE(saw_auto && saw_explicit && saw_alias && saw_bad &&
+                saw_exhausted);
+    EXPECT_EQ(host.tenant_count(), kNamespaces);
+  }
+}
+
+TEST(TenantRegistry, ThousandTenantFleetGetsConsecutiveNamespaces) {
+  constexpr std::uint32_t kNamespaces = 1024;
+  CloudHost host(RegistrySsd(kNamespaces));
+  for (std::uint32_t t = 2; t < kNamespaces; ++t) {
+    auto id = host.add_tenant(
+        TenantConfig{.name = "tenant-" + std::to_string(t)});
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_EQ(*id, t);
+  }
+  for (TenantId t = 0; t < kNamespaces; ++t) {
+    EXPECT_EQ(host.tenant(t).nsid(), t + 1);
+  }
+  EXPECT_EQ(host.add_tenant(TenantConfig{.name = "extra"}).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 /// What one tenant observed at the end of a run: the last data its

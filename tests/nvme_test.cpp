@@ -174,6 +174,32 @@ TEST(Nvme, RejectsOverlappingNamespaces) {
   EXPECT_THROW(NvmeRig rig(config), CheckFailure);
 }
 
+TEST(Nvme, AcceptsDisjointNamespacesOutOfStartOrder) {
+  NvmeConfig config = NvmeRig::DefaultConfig();
+  config.namespaces = {NvmeNamespaceConfig{Lba(40), 24},
+                       NvmeNamespaceConfig{Lba(0), 16},
+                       NvmeNamespaceConfig{Lba(16), 24}};
+  NvmeRig rig(config);
+  // nsids follow the configured order, not the start order.
+  EXPECT_EQ(rig.controller->namespace_info(1).start, Lba(40));
+  EXPECT_EQ(rig.controller->namespace_info(2).start, Lba(0));
+  EXPECT_EQ(rig.controller->namespace_info(3).start, Lba(16));
+}
+
+// RHSD_CHECK throws CheckFailure; a caller that does not catch it (as
+// no bench or example does) terminates with the message.  The noexcept
+// frame turns the throw into that termination inside the death test.
+TEST(NvmeDeathTest, OverlapOutOfStartOrderAborts) {
+  NvmeConfig config = NvmeRig::DefaultConfig();
+  // Only the first and last overlap; neither neighbour in the
+  // configured order does.
+  config.namespaces = {NvmeNamespaceConfig{Lba(25), 25},
+                       NvmeNamespaceConfig{Lba(0), 12},
+                       NvmeNamespaceConfig{Lba(37), 25}};
+  EXPECT_DEATH([&]() noexcept { NvmeRig rig(config); }(),
+               "namespaces overlap");
+}
+
 TEST(Nvme, RejectsNamespaceBeyondCapacity) {
   NvmeConfig config = NvmeRig::DefaultConfig();
   config.namespaces = {NvmeNamespaceConfig{Lba(0), 65}};
