@@ -383,11 +383,12 @@ void ReportHammerHotPath() {
     qp_flush_cmds_per_s = static_cast<double>(kRounds * kQueueDepth) / best;
   }
 
-  // A short one-row TRR replay: a 4-activation advance() on a row the
-  // full table does not track, so every step is a Misra–Gries decrement
-  // and the call never reaches steady.  (An L2P lookup now replays its
-  // 5 touches as one 5-activation batch; the 4-activation shape is kept
-  // so the trajectory check compares like with like.)
+  // A short one-row TRR replay: a 4-activation advance_row() (the step
+  // the one-row hammer kernel calls) on a row the full table does not
+  // track, so every activation is a Misra–Gries decrement and the row
+  // never gets a slot.  (An L2P lookup replays its 5 touches as one
+  // 5-activation batch; the 4-activation shape is kept so the trajectory
+  // check compares like with like.)
   double trr_short_advance_per_s = 0;
   {
     constexpr std::uint32_t kTrackers = 4;
@@ -408,7 +409,7 @@ void ReportHammerHotPath() {
       }
       const double t0 = bench::HostSeconds();
       for (std::uint64_t i = 0; i < kCalls; ++i) {
-        benchmark::DoNotOptimize(trr.advance(0, 100, 100, kActsPerCall));
+        benchmark::DoNotOptimize(trr.advance_row(0, 100, kActsPerCall));
       }
       const double elapsed = bench::HostSeconds() - t0;
       if (rep == 0 || elapsed < best) best = elapsed;

@@ -3,7 +3,8 @@
 # test suite again under AddressSanitizer + UndefinedBehaviorSanitizer, a
 # ThreadSanitizer smoke of the parallel experiment engine
 # (tests/exec_smoke.cpp), the chaos determinism diff, the repository
-# benchmark's self-test, and the perf gate.
+# benchmark's self-test, its result digests against tests/golden/, and
+# the perf gate.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -63,6 +64,24 @@ echo "== perfbench selftest: the benchmark's correctness oracle =="
 # excuses must hold, so a program change that breaks the benchmark's
 # oracle fails here.  Builds its own Release tree into .bench_build/.
 python3 perfbench/selftest.py
+
+echo "== golden digests: simulated results against tests/golden =="
+# Each workload's --trace 1 result digest at two seeds, diffed against
+# the committed values: a change that must not move a simulated bit
+# proves it here, and one that means to move them updates the file.
+GOLDEN="tests/golden/perfbench_digests.txt"
+ACTUAL="build/perfbench_digests.txt"
+grep -v '^#' "${GOLDEN}" | while read -r WORKLOAD SEED _; do
+  DIGEST="$(python3 perfbench/run.py --workload "${WORKLOAD}" \
+      --seed "${SEED}" --seconds 1 --trace 1 </dev/null |
+    sed -n "s/^digest ${WORKLOAD}\.untraced //p")"
+  echo "${WORKLOAD} ${SEED} ${DIGEST}"
+done >"${ACTUAL}"
+diff <(grep -v '^#' "${GOLDEN}") "${ACTUAL}" || {
+  echo "golden gate: perfbench digests differ from ${GOLDEN}" >&2
+  exit 1
+}
+echo "golden gate: $(wc -l <"${ACTUAL}") digests match"
 
 echo "== perf gate: batched hammer hot path =="
 # bench_micro emits BENCH_hotpath.json into its working directory; the

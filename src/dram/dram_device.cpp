@@ -244,32 +244,39 @@ void DramDevice::target_refresh_neighbors(
   }
 }
 
+double DramDevice::exposure_of(std::uint64_t left, std::uint64_t right,
+                               std::uint64_t left2, std::uint64_t right2,
+                               const RefreshBases& bases) const {
+  left = left > bases.left ? left - bases.left : 0;
+  right = right > bases.right ? right - bases.right : 0;
+  double exposure = disturbance_.effective_hammer(left, right);
+  const double hd_weight = disturbance_.profile().half_double_weight;
+  if (hd_weight > 0.0) {
+    left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
+    right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
+    exposure += hd_weight * static_cast<double>(left2 + right2);
+  }
+  return exposure;
+}
+
 void DramDevice::check_victim(std::uint64_t victim) {
   // Flat early-outs: one byte load rejects invulnerable rows, one
   // double compare rejects under-threshold exposures; the cell list is
   // only materialized past both.
   if (!disturbance_.row_is_vulnerable(victim)) return;
 
-  const RefreshBases bases = bases_of(victim);
-  std::uint64_t left_acts = 0;
-  std::uint64_t right_acts = 0;
-  if (auto l = neighbor(victim, -1)) left_acts = acts_now(*l);
-  if (auto r = neighbor(victim, +1)) right_acts = acts_now(*r);
-  left_acts = left_acts > bases.left ? left_acts - bases.left : 0;
-  right_acts = right_acts > bases.right ? right_acts - bases.right : 0;
-
-  double exposure =
-      disturbance_.effective_hammer(left_acts, right_acts);
-  const double hd_weight = disturbance_.profile().half_double_weight;
-  if (hd_weight > 0.0) {
-    std::uint64_t left2 = 0;
-    std::uint64_t right2 = 0;
+  std::uint64_t left = 0;
+  std::uint64_t right = 0;
+  std::uint64_t left2 = 0;
+  std::uint64_t right2 = 0;
+  if (auto l = neighbor(victim, -1)) left = acts_now(*l);
+  if (auto r = neighbor(victim, +1)) right = acts_now(*r);
+  if (disturbance_.profile().half_double_weight > 0.0) {
     if (auto l2 = neighbor(victim, -2)) left2 = acts_now(*l2);
     if (auto r2 = neighbor(victim, +2)) right2 = acts_now(*r2);
-    left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
-    right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
-    exposure += hd_weight * static_cast<double>(left2 + right2);
   }
+  const double exposure = exposure_of(
+      left, right, left2, right2, bases_of(victim, current_window()));
   if (exposure < disturbance_.min_threshold(victim)) return;
 
   const auto& cells = disturbance_.cells(victim);
@@ -349,8 +356,172 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
       if (events > 1) hammer_events_all_activations(b, a, events - 1);
       return;
     }
+  } else if (a == b) {
+    hammer_row_batch(a, events);
+    return;
   }
   hammer_events_all_activations(a, b, events);
+}
+
+void DramDevice::hammer_row_batch(std::uint64_t a, std::uint64_t n) {
+  // The clock is frozen for the whole batch, so one window read stands
+  // for the scalar path's per-activation rolls.  Rows other than `a` are
+  // read, not rolled: a stale row counts zero either way.
+  const std::uint64_t w = current_window();
+  const auto count_now = [&](std::uint64_t row) -> std::uint64_t {
+    return row_window_[row] == w ? row_acts_[row] : 0;
+  };
+  const std::uint64_t a0 = count_now(a);
+  row_window_[a] = w;
+  row_acts_[a] = a0 + n;
+  stats_.activations += n;
+
+  const std::uint64_t rows_per_bank = config_.geometry.rows_per_bank;
+  const std::uint64_t bank = a / rows_per_bank;
+  const auto in_bank = static_cast<std::int64_t>(a - bank * rows_per_bank);
+  // Whether row a + delta lies in a's bank.
+  const auto in_reach = [&](std::int64_t delta) {
+    return in_bank + delta >= 0 &&
+           in_bank + delta < static_cast<std::int64_t>(rows_per_bank);
+  };
+
+  // -- Targeted refreshes in event order.  All are centred on `a`; `reach`
+  // is how far out they recharge (TRR: refresh_distance, PARA: 1; both at
+  // one event: the wider, since their bases at one event are equal).
+  struct RowRefresh {
+    std::uint64_t event = 0;
+    std::uint32_t reach = 0;
+  };
+  std::vector<RowRefresh> refreshes;  // allocates only when one fires
+  TrrRowFires trr_fires;
+  if (trr_.has_value()) {
+    if (w != trr_window_) {
+      trr_->reset();
+      trr_window_ = w;
+    }
+    trr_fires = trr_->advance_row(static_cast<std::uint32_t>(bank),
+                                  static_cast<std::uint32_t>(in_bank), n);
+    stats_.trr_refreshes = trr_->refreshes_issued();
+  }
+  const std::uint32_t trr_reach =
+      config_.mitigations.trr_config.refresh_distance;
+  if (config_.mitigations.para_probability > 0.0) {
+    // Exactly one PARA decision per activation, after that activation's
+    // TRR fire: the RNG stream advances as on the scalar path.
+    std::uint64_t next_fire = trr_fires.count > 0 ? trr_fires.first : 0;
+    std::uint64_t fires_left = trr_fires.count;
+    for (std::uint64_t e = 1; e <= n; ++e) {
+      std::uint32_t reach = 0;
+      if (e == next_fire) {
+        reach = trr_reach;
+        next_fire = --fires_left > 0 ? next_fire + trr_fires.every : 0;
+      }
+      if (para_decide()) {
+        reach = std::max(reach, 1u);
+        ++stats_.para_refreshes;
+      }
+      if (reach > 0) refreshes.push_back(RowRefresh{e, reach});
+    }
+  } else if (trr_reach > 0) {
+    for (std::uint64_t k = 0; k < trr_fires.count; ++k) {
+      refreshes.push_back(
+          RowRefresh{trr_fires.first + k * trr_fires.every, trr_reach});
+    }
+  }
+
+  // -- Victims: every row a refresh reaches, and the rows each activation
+  // checks (distance 1, and 2 under Half-Double), in the scalar check
+  // order left, right, left2, right2.
+  const std::uint32_t checked =
+      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
+  std::uint32_t reach = checked;
+  for (const RowRefresh& r : refreshes) reach = std::max(reach, r.reach);
+  const std::uint64_t now_ns = clock_.now_ns();
+  std::vector<PendingFlip> pending;     // allocates only on a flip
+  std::vector<VictimRefresh> segments;  // allocates only on a refresh
+  constexpr std::int64_t kOffsets[4] = {-1, +1, -2, +2};
+  for (std::uint32_t d = 1; d <= reach; ++d) {
+    for (const std::int64_t sign : {-1, +1}) {
+      const std::int64_t delta = sign * static_cast<std::int64_t>(d);
+      if (!in_reach(delta)) continue;
+      const std::uint64_t victim = a + static_cast<std::uint64_t>(delta);
+      const bool check =
+          d <= checked && disturbance_.row_is_vulnerable(victim);
+      std::uint64_t last_refresh = 0;
+      for (const RowRefresh& r : refreshes) {
+        if (r.reach >= d) last_refresh = r.event;
+      }
+      if (!check && last_refresh == 0) continue;
+
+      // The victim's left, right, left2 and right2 neighbor counts at
+      // event e: `a` advances one per event, the rest are frozen.
+      std::uint64_t counts[4] = {0, 0, 0, 0};
+      int dyn = -1;
+      for (int i = 0; i < 4; ++i) {
+        if (delta + kOffsets[i] == 0) {
+          dyn = i;
+        } else if (in_reach(delta + kOffsets[i])) {
+          counts[i] =
+              count_now(victim + static_cast<std::uint64_t>(kOffsets[i]));
+        }
+      }
+      const auto at = [&](int i, std::uint64_t e) {
+        return i == dyn ? a0 + e : counts[i];
+      };
+      const auto bases_at = [&](std::uint64_t e) {
+        return RefreshBases{.window = w,
+                            .left = at(0, e),
+                            .right = at(1, e),
+                            .left2 = at(2, e),
+                            .right2 = at(3, e)};
+      };
+
+      if (check) {
+        const auto exposure_at = [&](std::uint64_t e,
+                                     const RefreshBases& bases) {
+          return exposure_of(at(0, e), at(1, e), at(2, e), at(3, e), bases);
+        };
+        segments.clear();
+        for (const RowRefresh& r : refreshes) {
+          if (r.reach >= d) {
+            segments.push_back(VictimRefresh{r.event, bases_at(r.event)});
+          }
+        }
+        const int slot = 2 * static_cast<int>(d - 1) + (sign > 0 ? 1 : 0);
+        const auto identity = [](std::uint64_t e) { return e; };
+        walk_victim_segments(
+            victim, n, n, bases_of(victim, w), segments, identity, identity,
+            exposure_at, [&](const VulnCell& cell, std::uint64_t e) {
+              pending.push_back(PendingFlip{
+                  .event = e,
+                  .slot = slot,
+                  .flip = FlipEvent{.time_ns = now_ns,
+                                    .global_row = victim,
+                                    .byte_offset = cell.byte_offset,
+                                    .bit = cell.bit,
+                                    .new_value = cell.failure_value}});
+            });
+      }
+      // The scalar path leaves the victim's bases at its last refresh;
+      // written after its own check, which reads the pre-batch bases.
+      if (last_refresh != 0) set_bases(victim, bases_at(last_refresh));
+    }
+  }
+  commit_flips(pending);
+}
+
+void DramDevice::commit_flips(std::vector<PendingFlip>& pending) {
+  if (pending.empty()) return;
+  // Restore scalar emission order: by activation event, then by the
+  // check-slot order within one activation (left, right, left2,
+  // right2).  stable_sort keeps each victim's per-check cell order.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const PendingFlip& x, const PendingFlip& y) {
+                     return x.event != y.event ? x.event < y.event
+                                               : x.slot < y.slot;
+                   });
+  stats_.bitflips += pending.size();
+  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
 }
 
 void DramDevice::hammer_events_all_activations(std::uint64_t a,
@@ -368,22 +539,30 @@ void DramDevice::hammer_events_fast(std::uint64_t a, std::uint64_t b,
   // Activation counts before the batch (rolls the aggressors' windows);
   // the per-event exposure reconstruction below is relative to these.
   const std::uint64_t a0_a = acts_now(a);
-  const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
+  const std::uint64_t a0_b = acts_now(b);
 
   stats_.activations += events;
-  row_acts_[a] += a == b ? events : (events + 1) / 2;
-  if (a != b) row_acts_[b] += events / 2;
+  row_acts_[a] += (events + 1) / 2;
+  row_acts_[b] += events / 2;
   if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
     // The last access of the batch leaves its row open.
     open_rows_[a / config_.geometry.rows_per_bank] =
-        (a == b || events % 2 != 0) ? a : b;
+        events % 2 != 0 ? a : b;
   }
 
+  std::uint64_t victims[8];
+  const int n_victims = pair_victims(a, b, victims);
+  std::vector<PendingFlip> pending;
+  for (int i = 0; i < n_victims; ++i) {
+    check_victim_batched(victims[i], a, b, events, a0_a, a0_b, {}, pending);
+  }
+  commit_flips(pending);
+}
+
+int DramDevice::pair_victims(std::uint64_t a, std::uint64_t b,
+                             std::uint64_t (&victims)[8]) const {
   const int max_dist =
       disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
-
-  // Unique victim rows within disturbance distance of either aggressor.
-  std::uint64_t victims[8];
   int n_victims = 0;
   const auto add_victim = [&](std::optional<std::uint64_t> v) {
     if (!v.has_value()) return;
@@ -395,28 +574,10 @@ void DramDevice::hammer_events_fast(std::uint64_t a, std::uint64_t b,
   for (int d = 1; d <= max_dist; ++d) {
     add_victim(neighbor(a, -d));
     add_victim(neighbor(a, +d));
-    if (a != b) {
-      add_victim(neighbor(b, -d));
-      add_victim(neighbor(b, +d));
-    }
+    add_victim(neighbor(b, -d));
+    add_victim(neighbor(b, +d));
   }
-
-  std::vector<PendingFlip> pending;
-  for (int i = 0; i < n_victims; ++i) {
-    check_victim_batched(victims[i], a, b, events, a0_a, a0_b, {}, pending);
-  }
-  if (pending.empty()) return;
-
-  // Restore scalar emission order: by activation event, then by the
-  // check-slot order within one activation (left, right, left2,
-  // right2).  stable_sort keeps each victim's per-check cell order.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingFlip& x, const PendingFlip& y) {
-                     return x.event != y.event ? x.event < y.event
-                                               : x.slot < y.slot;
-                   });
-  stats_.bitflips += pending.size();
-  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
+  return n_victims;
 }
 
 void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
@@ -430,21 +591,21 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   }
 
   const std::uint64_t a0_a = acts_now(a);
-  const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
+  const std::uint64_t a0_b = acts_now(b);
 
   stats_.activations += events;
-  row_acts_[a] += a == b ? events : (events + 1) / 2;
-  if (a != b) row_acts_[b] += events / 2;
+  row_acts_[a] += (events + 1) / 2;
+  row_acts_[b] += events / 2;
   if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
     open_rows_[a / config_.geometry.rows_per_bank] =
-        (a == b || events % 2 != 0) ? a : b;
+        events % 2 != 0 ? a : b;
   }
 
   // Aggressor activation counts as a function of the 1-based event
   // index (row a is accessed at odd events, row b at even ones) — the
   // same reconstruction the closed-form victim check uses.
   const auto count_at_event = [&](std::uint64_t row, std::uint64_t e) {
-    if (row == a) return a0_a + (a == b ? e : (e + 1) / 2);
+    if (row == a) return a0_a + (e + 1) / 2;
     if (row == b) return a0_b + e / 2;
     return acts_now(row);
   };
@@ -467,23 +628,23 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
     const auto in_b = static_cast<std::uint32_t>(b % rows_per_bank);
     const std::uint32_t dist =
         config_.mitigations.trr_config.refresh_distance;
-    if (a == b || bank_a == bank_b) {
-      for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, a == b ? in_a : in_b, events)) {
+    if (bank_a == bank_b) {
+      for (const TrrEmission& em : trr_->advance(bank_a, in_a, in_b, events)) {
         const std::uint64_t fired =
             static_cast<std::uint64_t>(bank_a) * rows_per_bank + em.row;
         points.push_back({em.index, fired, dist});
       }
     } else {
-      // Different banks see independent single-row subsequences: a at
-      // odd events (the odd half-length), b at even events.
-      for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, in_a, (events + 1) / 2)) {
-        points.push_back({2 * em.index - 1, a, dist});
+      // Different banks see independent one-row subsequences: a at the
+      // odd events, b at the even ones.
+      const TrrRowFires fa =
+          trr_->advance_row(bank_a, in_a, (events + 1) / 2);
+      for (std::uint64_t k = 0; k < fa.count; ++k) {
+        points.push_back({2 * (fa.first + k * fa.every) - 1, a, dist});
       }
-      for (const TrrEmission& em :
-           trr_->advance(bank_b, in_b, in_b, events / 2)) {
-        points.push_back({2 * em.index, b, dist});
+      const TrrRowFires fb = trr_->advance_row(bank_b, in_b, events / 2);
+      for (std::uint64_t k = 0; k < fb.count; ++k) {
+        points.push_back({2 * (fb.first + k * fb.every), b, dist});
       }
     }
     stats_.trr_refreshes = trr_->refreshes_issued();
@@ -493,7 +654,7 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
     // activation, whatever TRR did at the same events.
     for (std::uint64_t e = 1; e <= events; ++e) {
       if (!para_decide()) continue;
-      points.push_back({e, (a == b || e % 2 != 0) ? a : b, 1});
+      points.push_back({e, e % 2 != 0 ? a : b, 1});
       ++stats_.para_refreshes;
     }
   }
@@ -549,26 +710,8 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
     }
   }
 
-  const int max_dist =
-      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
   std::uint64_t victims[8];
-  int n_victims = 0;
-  const auto add_victim = [&](std::optional<std::uint64_t> v) {
-    if (!v.has_value()) return;
-    for (int i = 0; i < n_victims; ++i) {
-      if (victims[i] == *v) return;
-    }
-    victims[n_victims++] = *v;
-  };
-  for (int d = 1; d <= max_dist; ++d) {
-    add_victim(neighbor(a, -d));
-    add_victim(neighbor(a, +d));
-    if (a != b) {
-      add_victim(neighbor(b, -d));
-      add_victim(neighbor(b, +d));
-    }
-  }
-
+  const int n_victims = pair_victims(a, b, victims);
   std::vector<PendingFlip> pending;
   for (int i = 0; i < n_victims; ++i) {
     std::span<const VictimRefresh> segs;
@@ -585,148 +728,35 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   // Now the deferred baseline writes: scalar leaves each refreshed row's
   // entry at its *last* refresh of the batch.
   for (const auto& [row, list] : refreshed) set_bases(row, list.back().bases);
-
-  if (pending.empty()) return;
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingFlip& x, const PendingFlip& y) {
-                     return x.event != y.event ? x.event < y.event
-                                               : x.slot < y.slot;
-                   });
-  stats_.bitflips += pending.size();
-  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
+  commit_flips(pending);
 }
 
-void DramDevice::check_victim_batched(
-    std::uint64_t victim, std::uint64_t a, std::uint64_t b,
-    std::uint64_t events, std::uint64_t a0_a, std::uint64_t a0_b,
-    std::span<const VictimRefresh> refreshes,
-    std::vector<PendingFlip>& pending) {
-  const double hd_weight = disturbance_.profile().half_double_weight;
-  const int max_dist = hd_weight > 0.0 ? 2 : 1;
-
-  // Which aggressors check this victim (i.e. the victim is within
-  // disturbance distance, same bank)?  Row a is accessed at odd events,
-  // row b at even events.
-  const auto within_reach = [&](std::uint64_t agg) {
-    for (int d = 1; d <= max_dist; ++d) {
-      if (neighbor(agg, -d) == std::optional<std::uint64_t>(victim) ||
-          neighbor(agg, +d) == std::optional<std::uint64_t>(victim)) {
-        return true;
-      }
-    }
-    return false;
+template <typename EventOf, typename ChecksUpTo, typename ExposureAt,
+          typename Emit>
+void DramDevice::walk_victim_segments(std::uint64_t victim,
+                                      std::uint64_t events,
+                                      std::uint64_t checks,
+                                      RefreshBases bases,
+                                      std::span<const VictimRefresh> refreshes,
+                                      const EventOf& event_of,
+                                      const ChecksUpTo& checks_up_to,
+                                      const ExposureAt& exposure_at,
+                                      const Emit& emit) {
+  // The victim's bytes.  A row never written reads as zeros, so it is
+  // materialized only when one of its cells actually flips.
+  RowData* rd = row_data_[victim].get();
+  const auto bit_of = [&](const VulnCell& cell) {
+    return rd == nullptr ? 0u : (rd->data[cell.byte_offset] >> cell.bit) & 1u;
   };
-  const bool by_a = within_reach(a);
-  const bool by_b = a != b && within_reach(b);
-  const bool every_event = (a == b) || (by_a && by_b);
-
-  // Check events, 1-based within the batch: all events, the odd ones
-  // (a only), or the even ones (b only).
-  std::uint64_t checks;  // number of check events
-  if (every_event) {
-    checks = events;
-  } else if (by_a) {
-    checks = (events + 1) / 2;
-  } else {
-    checks = events / 2;  // by_b only: first check is event 2
-  }
-  if (checks == 0) return;
-  const auto event_of = [&](std::uint64_t k) {  // k-th check event, 1-based
-    if (every_event) return k;
-    return by_a ? 2 * k - 1 : 2 * k;
-  };
-
-  if (!disturbance_.row_is_vulnerable(victim)) return;
-
-  // Neighbor activation counts as a function of the event index e: the
-  // aggressors advance (a at odd e, b at even e), everything else is
-  // frozen for the duration of the batch.
-  struct NeighborCount {
-    std::uint64_t base = 0;
-    int kind = 0;  // 0 = static (or absent), 1 = row a, 2 = row b
-  };
-  const auto classify = [&](std::optional<std::uint64_t> n) {
-    NeighborCount c;
-    if (!n.has_value()) return c;  // bank edge: counts as zero
-    if (*n == a) {
-      c.kind = 1;
-      c.base = a0_a;
-    } else if (a != b && *n == b) {
-      c.kind = 2;
-      c.base = a0_b;
-    } else {
-      c.base = acts_now(*n);
-    }
-    return c;
-  };
-  const NeighborCount nl = classify(neighbor(victim, -1));
-  const NeighborCount nr = classify(neighbor(victim, +1));
-  const NeighborCount nl2 =
-      max_dist == 2 ? classify(neighbor(victim, -2)) : NeighborCount{};
-  const NeighborCount nr2 =
-      max_dist == 2 ? classify(neighbor(victim, +2)) : NeighborCount{};
-  const auto count_at = [&](const NeighborCount& c, std::uint64_t e) {
-    if (c.kind == 1) return c.base + (a == b ? e : (e + 1) / 2);
-    if (c.kind == 2) return c.base + e / 2;
-    return c.base;
-  };
-
-  // Same arithmetic as the scalar check_victim, with e substituted for
-  // "now" — bit-exact, including the uint64 sum in the Half-Double
-  // term.  The baselines are a parameter: each targeted refresh of this
-  // victim starts a new segment with its own re-baselined counts.
-  const auto exposure_at = [&](std::uint64_t e, const RefreshBases& bases) {
-    std::uint64_t left = count_at(nl, e);
-    std::uint64_t right = count_at(nr, e);
-    left = left > bases.left ? left - bases.left : 0;
-    right = right > bases.right ? right - bases.right : 0;
-    double exposure = disturbance_.effective_hammer(left, right);
-    if (hd_weight > 0.0) {
-      std::uint64_t left2 = count_at(nl2, e);
-      std::uint64_t right2 = count_at(nr2, e);
-      left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
-      right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
-      exposure += hd_weight * static_cast<double>(left2 + right2);
-    }
-    return exposure;
-  };
-  // Number of this victim's check events with event index <= e.
-  const auto checks_up_to = [&](std::uint64_t e) {
-    if (every_event) return e;
-    return by_a ? (e + 1) / 2 : e / 2;
-  };
-
-  const auto& cells = disturbance_.cells(victim);
-  RowData* rd = nullptr;
-
-  // Check-slot of this victim at event e (position in the scalar
-  // left/right/left2/right2 sequence of the activated row).
-  const auto slot_at = [&](std::uint64_t e) {
-    const std::uint64_t agg = (a == b || e % 2 != 0) ? a : b;
-    const std::int64_t delta = static_cast<std::int64_t>(victim) -
-                               static_cast<std::int64_t>(agg);
-    switch (delta) {
-      case -1: return 0;
-      case +1: return 1;
-      case -2: return 2;
-      default: return 3;  // +2
-    }
-  };
-  const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
+  const auto flip = [&](const VulnCell& cell, std::uint64_t e) {
+    if (rd == nullptr) rd = &materialize(victim);
     std::uint8_t& byte = rd->data[cell.byte_offset];
     if (cell.failure_value) {
       byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
     } else {
       byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
     }
-    pending.push_back(PendingFlip{
-        .event = e,
-        .slot = slot_at(e),
-        .flip = FlipEvent{.time_ns = clock_.now_ns(),
-                          .global_row = victim,
-                          .byte_offset = cell.byte_offset,
-                          .bit = cell.bit,
-                          .new_value = cell.failure_value}});
+    emit(cell, e);
   };
 
   // Walk the segments between consecutive targeted refreshes of this
@@ -736,7 +766,6 @@ void DramDevice::check_victim_batched(
   // fixed and exposure is nondecreasing in e — the closed form applies
   // segment by segment.
   std::uint64_t seg_start = 1;
-  RefreshBases bases = bases_of(victim);
   for (std::size_t si = 0;; ++si) {
     const std::uint64_t seg_end =
         si < refreshes.size() ? refreshes[si].event - 1 : events;
@@ -746,7 +775,7 @@ void DramDevice::check_victim_batched(
     if (k_lo <= k_hi) {
       const double exposure_last = exposure_at(event_of(k_hi), bases);
       if (exposure_last >= disturbance_.min_threshold(victim)) {
-        if (rd == nullptr) rd = &materialize(victim);
+        const std::vector<VulnCell>& cells = disturbance_.cells(victim);
 
         // Two cells aliasing the same (byte, bit) with opposite failure
         // values re-flip each other at every check; the closed form
@@ -770,10 +799,8 @@ void DramDevice::check_victim_batched(
             const double exposure = exposure_at(e, bases);
             for (const VulnCell& cell : cells) {
               if (exposure < cell.threshold) break;
-              const std::uint8_t current =
-                  (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-              if (current == cell.failure_value) continue;
-              emit(cell, e);
+              if (bit_of(cell) == cell.failure_value) continue;
+              flip(cell, e);
             }
           }
         } else {
@@ -783,9 +810,7 @@ void DramDevice::check_victim_batched(
           // already holds its failure value.
           for (const VulnCell& cell : cells) {
             if (cell.threshold > exposure_last) break;  // sorted ascending
-            const std::uint8_t current =
-                (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-            if (current == cell.failure_value) continue;  // already decayed
+            if (bit_of(cell) == cell.failure_value) continue;  // decayed
             std::uint64_t lo = k_lo;
             std::uint64_t hi = k_hi;
             while (lo < hi) {
@@ -796,7 +821,7 @@ void DramDevice::check_victim_batched(
                 lo = mid + 1;
               }
             }
-            emit(cell, event_of(lo));
+            flip(cell, event_of(lo));
           }
         }
       }
@@ -805,6 +830,123 @@ void DramDevice::check_victim_batched(
     seg_start = refreshes[si].event;
     bases = refreshes[si].bases;
   }
+}
+
+void DramDevice::check_victim_batched(
+    std::uint64_t victim, std::uint64_t a, std::uint64_t b,
+    std::uint64_t events, std::uint64_t a0_a, std::uint64_t a0_b,
+    std::span<const VictimRefresh> refreshes,
+    std::vector<PendingFlip>& pending) {
+  const int max_dist =
+      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
+
+  // Which aggressors check this victim (i.e. the victim is within
+  // disturbance distance, same bank)?  Row a is accessed at odd events,
+  // row b at even events.
+  const auto within_reach = [&](std::uint64_t agg) {
+    for (int d = 1; d <= max_dist; ++d) {
+      if (neighbor(agg, -d) == std::optional<std::uint64_t>(victim) ||
+          neighbor(agg, +d) == std::optional<std::uint64_t>(victim)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const bool by_a = within_reach(a);
+  const bool by_b = within_reach(b);
+  const bool every_event = by_a && by_b;
+
+  // Check events, 1-based within the batch: all events, the odd ones
+  // (a only), or the even ones (b only).
+  std::uint64_t checks;  // number of check events
+  if (every_event) {
+    checks = events;
+  } else if (by_a) {
+    checks = (events + 1) / 2;
+  } else {
+    checks = events / 2;  // by_b only: first check is event 2
+  }
+  if (checks == 0) return;
+  const auto event_of = [&](std::uint64_t k) {  // k-th check event, 1-based
+    if (every_event) return k;
+    return by_a ? 2 * k - 1 : 2 * k;
+  };
+  // Number of this victim's check events with event index <= e.
+  const auto checks_up_to = [&](std::uint64_t e) {
+    if (every_event) return e;
+    return by_a ? (e + 1) / 2 : e / 2;
+  };
+
+  if (!disturbance_.row_is_vulnerable(victim)) return;
+
+  // Neighbor activation counts as a function of the event index e: the
+  // aggressors advance (a at odd e, b at even e), everything else is
+  // frozen for the duration of the batch.
+  struct NeighborCount {
+    std::uint64_t base = 0;
+    int kind = 0;  // 0 = static (or absent), 1 = row a, 2 = row b
+  };
+  const auto classify = [&](std::optional<std::uint64_t> n) {
+    NeighborCount c;
+    if (!n.has_value()) return c;  // bank edge: counts as zero
+    if (*n == a) {
+      c.kind = 1;
+      c.base = a0_a;
+    } else if (*n == b) {
+      c.kind = 2;
+      c.base = a0_b;
+    } else {
+      c.base = acts_now(*n);
+    }
+    return c;
+  };
+  const NeighborCount nl = classify(neighbor(victim, -1));
+  const NeighborCount nr = classify(neighbor(victim, +1));
+  const NeighborCount nl2 =
+      max_dist == 2 ? classify(neighbor(victim, -2)) : NeighborCount{};
+  const NeighborCount nr2 =
+      max_dist == 2 ? classify(neighbor(victim, +2)) : NeighborCount{};
+  const auto count_at = [&](const NeighborCount& c, std::uint64_t e) {
+    if (c.kind == 1) return c.base + (e + 1) / 2;
+    if (c.kind == 2) return c.base + e / 2;
+    return c.base;
+  };
+
+  // The scalar check_victim's exposure with e substituted for "now".  The
+  // baselines are a parameter: each targeted refresh of this victim
+  // starts a new segment with its own re-baselined counts.
+  const auto exposure_at = [&](std::uint64_t e, const RefreshBases& bases) {
+    return exposure_of(count_at(nl, e), count_at(nr, e), count_at(nl2, e),
+                       count_at(nr2, e), bases);
+  };
+
+  // Check-slot of this victim at event e (position in the scalar
+  // left/right/left2/right2 sequence of the activated row).
+  const auto slot_at = [&](std::uint64_t e) {
+    const std::uint64_t agg = e % 2 != 0 ? a : b;
+    const std::int64_t delta = static_cast<std::int64_t>(victim) -
+                               static_cast<std::int64_t>(agg);
+    switch (delta) {
+      case -1: return 0;
+      case +1: return 1;
+      case -2: return 2;
+      default: return 3;  // +2
+    }
+  };
+  const std::uint64_t now_ns = clock_.now_ns();
+  walk_victim_segments(
+      victim, events, checks, bases_of(victim, current_window()), refreshes,
+      event_of, checks_up_to, exposure_at,
+      [&](const VulnCell& cell, std::uint64_t e) {
+        pending.push_back(PendingFlip{
+            .event = e,
+            .slot = slot_at(e),
+            .flip = FlipEvent{.time_ns = now_ns,
+                              .global_row = victim,
+                              .byte_offset = cell.byte_offset,
+                              .bit = cell.bit,
+                              .new_value = cell.failure_value}});
+      });
 }
 
 bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
@@ -1045,8 +1187,8 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   // -- Candidate victims: every row within disturbance distance of any
   // pattern row (pattern rows themselves included — adjacent aggressors
   // disturb each other).
-  const double hd_weight = disturbance_.profile().half_double_weight;
-  const int max_dist = hd_weight > 0.0 ? 2 : 1;
+  const int max_dist =
+      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
   RowIndex victims;
   for (const std::uint64_t r : distinct.keys()) {
     for (int d = 1; d <= max_dist; ++d) {
@@ -1134,23 +1276,10 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
         };
         const auto exposure_at = [&](std::uint64_t e,
                                      const RefreshBases& bases) {
-          std::uint64_t left = count_nc(nl, e);
-          std::uint64_t right = count_nc(nr, e);
-          left = left > bases.left ? left - bases.left : 0;
-          right = right > bases.right ? right - bases.right : 0;
-          double exposure = disturbance_.effective_hammer(left, right);
-          if (hd_weight > 0.0) {
-            std::uint64_t left2 = count_nc(nl2, e);
-            std::uint64_t right2 = count_nc(nr2, e);
-            left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
-            right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
-            exposure += hd_weight * static_cast<double>(left2 + right2);
-          }
-          return exposure;
+          return exposure_of(count_nc(nl, e), count_nc(nr, e),
+                             count_nc(nl2, e), count_nc(nr2, e), bases);
         };
 
-        const auto& cells = disturbance_.cells(victim);
-        RowData* rd = nullptr;
         const auto slot_at = [&](std::uint64_t e) {
           const std::uint64_t agg = rows[((e - 1) / h) % P];
           const std::int64_t delta = static_cast<std::int64_t>(victim) -
@@ -1162,83 +1291,19 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
             default: return 3;  // +2
           }
         };
-        const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
-          std::uint8_t& byte = rd->data[cell.byte_offset];
-          if (cell.failure_value) {
-            byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
-          } else {
-            byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
-          }
-          pending.push_back(PendingFlip{
-              .event = event_offset + e,
-              .slot = slot_at(e),
-              .flip = FlipEvent{.time_ns = cmd_time_ns[(e - 1) / h],
-                                .global_row = victim,
-                                .byte_offset = cell.byte_offset,
-                                .bit = cell.bit,
-                                .new_value = cell.failure_value}});
-        };
-
-        std::uint64_t seg_start = 1;
-        RefreshBases bases = fresh ? RefreshBases{} : bases_of(victim);
-        for (std::size_t si = 0;; ++si) {
-          const std::uint64_t seg_end =
-              si < refreshes.size() ? refreshes[si].event - 1 : E;
-          const std::uint64_t k_lo = checks_up_to(seg_start - 1) + 1;
-          const std::uint64_t k_hi = std::min(checks, checks_up_to(seg_end));
-          if (k_lo <= k_hi) {
-            const double exposure_last = exposure_at(event_of(k_hi), bases);
-            if (exposure_last >= disturbance_.min_threshold(victim)) {
-              if (rd == nullptr) rd = &materialize(victim);
-              bool aliased = false;
-              for (std::size_t i = 0; i < cells.size() && !aliased; ++i) {
-                if (cells[i].threshold > exposure_last) break;
-                for (std::size_t j = i + 1; j < cells.size(); ++j) {
-                  if (cells[j].threshold > exposure_last) break;
-                  if (cells[i].byte_offset == cells[j].byte_offset &&
-                      cells[i].bit == cells[j].bit) {
-                    aliased = true;
-                    break;
-                  }
-                }
-              }
-              if (aliased) {
-                for (std::uint64_t k = k_lo; k <= k_hi; ++k) {
-                  const std::uint64_t e = event_of(k);
-                  const double exposure = exposure_at(e, bases);
-                  for (const VulnCell& cell : cells) {
-                    if (exposure < cell.threshold) break;
-                    const std::uint8_t current =
-                        (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-                    if (current == cell.failure_value) continue;
-                    emit(cell, e);
-                  }
-                }
-              } else {
-                for (const VulnCell& cell : cells) {
-                  if (cell.threshold > exposure_last) break;
-                  const std::uint8_t current =
-                      (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-                  if (current == cell.failure_value) continue;
-                  std::uint64_t lo = k_lo;
-                  std::uint64_t hi = k_hi;
-                  while (lo < hi) {
-                    const std::uint64_t mid = lo + (hi - lo) / 2;
-                    if (exposure_at(event_of(mid), bases) >= cell.threshold) {
-                      hi = mid;
-                    } else {
-                      lo = mid + 1;
-                    }
-                  }
-                  emit(cell, event_of(lo));
-                }
-              }
-            }
-          }
-          if (si >= refreshes.size()) break;
-          seg_start = refreshes[si].event;
-          bases = refreshes[si].bases;
-        }
+        walk_victim_segments(
+            victim, E, checks, fresh ? RefreshBases{} : bases_of(victim, w),
+            refreshes, event_of, checks_up_to, exposure_at,
+            [&](const VulnCell& cell, std::uint64_t e) {
+              pending.push_back(PendingFlip{
+                  .event = event_offset + e,
+                  .slot = slot_at(e),
+                  .flip = FlipEvent{.time_ns = cmd_time_ns[(e - 1) / h],
+                                    .global_row = victim,
+                                    .byte_offset = cell.byte_offset,
+                                    .bit = cell.bit,
+                                    .new_value = cell.failure_value}});
+            });
       };
 
   for (const std::uint64_t v : victims.keys()) {
@@ -1330,15 +1395,7 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   for (std::size_t i = 0; i < bases_commit.size(); ++i) {
     set_bases(bases_commit_rows.keys()[i], bases_commit[i]);
   }
-  if (!pending.empty()) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingFlip& x, const PendingFlip& y) {
-                       return x.event != y.event ? x.event < y.event
-                                                 : x.slot < y.slot;
-                     });
-    stats_.bitflips += pending.size();
-    for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
-  }
+  commit_flips(pending);
   return true;
 }
 

@@ -23,9 +23,10 @@
 // Optional mitigations (all off by default, matching the paper's
 // testbed): SECDED ECC, TRR, a CPU cache in front of the arrays, and a
 // refresh-interval override.  TRR and PARA have per-activation state,
-// but under the fixed a,b,a,b,... pattern of a hammer batch that state
-// evolves deterministically: the batched path replays the TRR tracker
-// analytically (TrrTracker::advance), pre-draws the PARA decisions in
+// but under the fixed a,b,a,b,... pattern of a hammer batch (or the
+// a,a,a,... of a one-row batch) that state evolves deterministically:
+// the batched path replays the TRR tracker analytically
+// (TrrTracker::advance_row / advance), draws the PARA decisions in
 // scalar RNG order, and runs the closed-form victim check on the
 // segments between the resulting targeted refreshes — still bit-exact
 // with the scalar path.
@@ -140,8 +141,9 @@ class DramDevice {
   /// Bit-exact with `touches` single-touch calls, except that several
   /// touches of a span in one row with no cache consult the fault
   /// injector once per call, not once per touch.  That case is one batch:
-  /// the first touch's fault tick, ECC verify and copy, then
-  /// hammer_events(row, row, touches).  A row's own activations never
+  /// the first touch's fault tick, ECC verify and copy, then the
+  /// touches' activations as one one-row batch (hammer_row_batch() under
+  /// closed-page policy).  A row's own activations never
   /// disturb that row, so its ECC check and copy commute with them.  If
   /// that ECC check fails, the call counts one read and one activation,
   /// like the failing single-touch read.  A cache (whose state evolves
@@ -338,10 +340,12 @@ class DramDevice {
 
   void roll_window(std::uint64_t global_row);
   RowData& materialize(std::uint64_t global_row);
-  [[nodiscard]] RefreshBases bases_of(std::uint64_t global_row) const {
+  /// The row's baselines as seen in refresh window `window`.
+  [[nodiscard]] RefreshBases bases_of(std::uint64_t global_row,
+                                      std::uint64_t window) const {
     if (refresh_bases_.empty()) return RefreshBases{};
     const RefreshBases& bases = refresh_bases_[global_row];
-    return bases.window == current_window() ? bases : RefreshBases{};
+    return bases.window == window ? bases : RefreshBases{};
   }
   void set_bases(std::uint64_t global_row, const RefreshBases& bases);
   /// One touch of read()/write(): each row of the span in turn is
@@ -359,6 +363,12 @@ class DramDevice {
   std::uint64_t acts_now(std::uint64_t global_row);
 
   void activate(std::uint64_t global_row);
+  /// A victim's exposure, the one formula every victim check uses: its
+  /// neighbors' per-window counts (left, right and, under Half-Double,
+  /// left2, right2) net of its refresh baselines.
+  [[nodiscard]] double exposure_of(std::uint64_t left, std::uint64_t right,
+                                   std::uint64_t left2, std::uint64_t right2,
+                                   const RefreshBases& bases) const;
   void check_victim(std::uint64_t victim_global_row);
   void target_refresh_neighbors(std::uint64_t aggressor_global_row,
                                 std::uint32_t distance);
@@ -373,25 +383,39 @@ class DramDevice {
   };
 
   /// Batched core: the access sequence a, b, a, b, ... for `events`
-  /// accesses (a == b means one-location).  Dispatches row-buffer
-  /// policy reductions and the fast path (mitigated or plain).
+  /// accesses (a == b means one-location).  One code path per shape:
+  /// open-page policy reduces to its row-buffer hits first; then a
+  /// closed-page one-row batch goes to hammer_row_batch(), and every
+  /// two-row batch to the two-row replay (mitigated or plain).
   void hammer_events(std::uint64_t a, std::uint64_t b, std::uint64_t events);
-  /// Dispatch helper: every event is a real activation; routes to the
-  /// mitigated replay when TRR/PARA is configured, else the plain fast
-  /// path.
+  /// One-row kernel: `n` closed-page activations of row `a` (the FTL's
+  /// per-L2P-access hammer amplification, one-location hammering).  One
+  /// window read for the whole batch, the closed-form TRR step
+  /// (TrrTracker::advance_row), PARA drawn inline one decision per
+  /// activation, and one segment walk per victim.  Allocates only when a
+  /// refresh fires or a cell flips.
+  void hammer_row_batch(std::uint64_t a, std::uint64_t n);
+  /// Two-row dispatch (a != b): every event is a real activation; routes
+  /// to the mitigated replay when TRR/PARA is configured, else the plain
+  /// fast path.
   void hammer_events_all_activations(std::uint64_t a, std::uint64_t b,
                                      std::uint64_t events);
-  /// Fast path proper: every event is a real activation (precondition:
-  /// no TRR/PARA; closed page, or open page with a conflict per access).
+  /// Two-row fast path proper: every event is a real activation
+  /// (precondition: a != b, no TRR/PARA; closed page, or open page with
+  /// a conflict per access).
   void hammer_events_fast(std::uint64_t a, std::uint64_t b,
                           std::uint64_t events);
-  /// Mitigated fast path: same preconditions as hammer_events_fast
-  /// minus the no-TRR/PARA one.  Replays the tracker analytically and
-  /// the PARA stream in scalar draw order, then checks victims per
-  /// refresh segment.
+  /// Two-row mitigated fast path: same preconditions as
+  /// hammer_events_fast minus the no-TRR/PARA one.  Replays the tracker
+  /// analytically and the PARA stream in scalar draw order, then checks
+  /// victims per refresh segment.
   void hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
                                std::uint64_t events);
-  /// Closed-form victim check over a whole batch; `refreshes` holds the
+  /// The distinct rows within disturbance distance of a or b, in the
+  /// order the two-row paths check them.  Returns how many.
+  int pair_victims(std::uint64_t a, std::uint64_t b,
+                   std::uint64_t (&victims)[8]) const;
+  /// Closed-form victim check of a two-row batch; `refreshes` holds the
   /// victim's in-batch targeted refreshes in ascending event order
   /// (empty when no mitigation touched it).  Appends any flips (tagged
   /// with their event index) to `pending`.
@@ -400,6 +424,27 @@ class DramDevice {
                             std::uint64_t a0_a, std::uint64_t a0_b,
                             std::span<const VictimRefresh> refreshes,
                             std::vector<PendingFlip>& pending);
+  /// The segment walk every batched victim check shares: over events
+  /// 1..`events`, the victim has `checks` check events, the k-th
+  /// (1-based) at event_of(k); checks_up_to(e) counts those at or
+  /// before e; exposure_at(e, bases) is its exposure at check event e
+  /// under one segment's baselines.  Segments run between consecutive
+  /// `refreshes` (the first one starts from `bases`); in each, a cell
+  /// flips at the first check whose exposure reaches its threshold
+  /// (binary search), or, when two crossing cells alias one bit, per
+  /// event as the scalar path does.  Each flip is applied to the row and
+  /// reported as emit(cell, event).
+  template <typename EventOf, typename ChecksUpTo, typename ExposureAt,
+            typename Emit>
+  void walk_victim_segments(std::uint64_t victim, std::uint64_t events,
+                            std::uint64_t checks, RefreshBases bases,
+                            std::span<const VictimRefresh> refreshes,
+                            const EventOf& event_of,
+                            const ChecksUpTo& checks_up_to,
+                            const ExposureAt& exposure_at, const Emit& emit);
+  /// Append a batch's flips in scalar emission order (by event, then by
+  /// check slot within one activation) and count them.
+  void commit_flips(std::vector<PendingFlip>& pending);
 
   /// Neighbor within the same bank, or nullopt at bank edges.
   [[nodiscard]] std::optional<std::uint64_t> neighbor(

@@ -93,18 +93,82 @@ std::optional<std::uint32_t> TrrTracker::on_activate(std::uint32_t bank,
   return std::nullopt;
 }
 
+TrrTracker::Fold TrrTracker::fold(std::uint64_t& count, std::uint64_t n) {
+  // A counter at c fires on its (threshold - c)-th increment and every
+  // threshold-th one after (on_activate's pre-increment compare); one at
+  // or past the threshold fires on its first; the ~0 a decrement leaves
+  // behind when it wraps a just-fired 0 first wraps to 0, without firing.
+  const std::uint64_t threshold = config_.activation_threshold;
+  if (n == 0) return Fold{};
+  std::uint64_t j1;
+  if (count == ~0ull) {
+    j1 = 1 + threshold;
+  } else if (count >= threshold) {
+    j1 = 1;
+  } else {
+    j1 = threshold - count;
+  }
+  const std::uint64_t fires = n >= j1 ? 1 + (n - j1) / threshold : 0;
+  if (fires == 0) {
+    count += n;  // wrapping add matches repeated wrapping ++
+  } else {
+    count = n - j1 - (fires - 1) * threshold;
+  }
+  refreshes_issued_ += fires;
+  return Fold{j1, fires};
+}
+
+TrrRowFires TrrTracker::advance_row(std::uint32_t bank, std::uint32_t row,
+                                    std::uint64_t events) {
+  RHSD_CHECK(bank < sizes_.size());
+  if (events == 0) return TrrRowFires{};
+  std::uint64_t e = 1;  // 1-based index of the next activation
+  Entry* entry = find(bank, row);
+  if (entry == nullptr) {
+    std::uint32_t& size = sizes_[bank];
+    Entry* const slots = table(bank).data();
+    if (size == config_.trackers_per_bank) {
+      // Every activation of the untracked row decrements all entries, so
+      // the first slot frees after c_min of them, c_min the smallest
+      // nonzero count.  A 0 count (a fire just restarted it) wraps to ~0
+      // at its first decrement and never runs out within a batch.
+      std::uint64_t steps = events;
+      for (std::uint32_t i = 0; i < size; ++i) {
+        if (slots[i].count != 0) steps = std::min(steps, slots[i].count);
+      }
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < size; ++i) {
+        const Entry next{slots[i].row, slots[i].count - steps};
+        if (next.count != 0) slots[kept++] = next;
+      }
+      size = kept;
+      e += steps;
+      if (e > events) return TrrRowFires{};
+    }
+    // The inserting activation counts 1 and never fires.
+    RHSD_CHECK(size < config_.trackers_per_bank);
+    slots[size] = Entry{row, 1};
+    entry = &slots[size++];
+    ++e;
+  }
+  const Fold f = fold(entry->count, events - e + 1);
+  if (f.fires == 0) return TrrRowFires{};
+  return TrrRowFires{.first = e + f.first - 1,
+                     .every = config_.activation_threshold,
+                     .count = f.fires};
+}
+
 std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
                                              std::uint32_t row_a,
                                              std::uint32_t row_b,
                                              std::uint64_t events) {
   RHSD_CHECK(bank < sizes_.size());
+  RHSD_CHECK_MSG(row_a != row_b, "one-row batches go through advance_row()");
   std::vector<TrrEmission> out;
   const std::uint64_t threshold = config_.activation_threshold;
-  const bool one_row = row_a == row_b;
 
   const auto steady = [&] {
-    return find(bank, row_a) != nullptr &&
-           (one_row || find(bank, row_b) != nullptr);
+    return find(bank, row_a) != nullptr && find(bank, row_b) != nullptr;
   };
 
   // Phase 1: replay the transient one activation at a time until the
@@ -118,8 +182,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
   std::uint64_t e = 1;
   while (e <= events && !steady()) {
     if (detect && e > kScalarStepsBeforeDetect) {
-      const std::string key =
-          SerializeState<Entry>(table(bank), one_row ? 0 : e % 2);
+      const std::string key = SerializeState<Entry>(table(bank), e % 2);
       const auto [it, inserted] =
           seen.emplace(key, std::make_pair(e, out.size()));
       if (!inserted) {
@@ -144,7 +207,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
       }
     }
     if (e > events) break;
-    const std::uint32_t row = (one_row || e % 2 != 0) ? row_a : row_b;
+    const std::uint32_t row = e % 2 != 0 ? row_a : row_b;
     if (auto fired = on_activate(bank, row)) {
       out.push_back(TrrEmission{e, *fired});
     }
@@ -153,53 +216,26 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
 
   if (e <= events) {
     // Phase 2: both rows tracked, so every remaining activation is a
-    // pure increment of that row's counter.  A counter at c fires on
-    // its (threshold - c)-th own activation and every threshold-th one
-    // after (matching on_activate's pre-increment compare, including
-    // the wrap of a 0xffff.. counter left behind by a past decrement
-    // underflow).
-    const std::uint64_t first = e;
-    const auto fold = [&](std::uint32_t row, std::uint64_t first_index,
-                          std::uint64_t stride, std::uint64_t n) {
-      if (n == 0) return;
-      std::uint64_t& count = find(bank, row)->count;
-      std::uint64_t j1;  // 1-based own-activation index of the first fire
-      if (count == ~0ull) {
-        j1 = 1 + threshold;  // first increment wraps to 0, no fire
-      } else if (count >= threshold) {
-        j1 = 1;
-      } else {
-        j1 = threshold - count;
-      }
-      const std::uint64_t fires = n >= j1 ? 1 + (n - j1) / threshold : 0;
-      for (std::uint64_t k = 0; k < fires; ++k) {
+    // pure increment of that row's counter: row a at the odd events,
+    // row b at the even ones.
+    const auto fold_row = [&](std::uint32_t row, std::uint64_t first_index) {
+      const std::uint64_t n =
+          first_index > events ? 0 : (events - first_index) / 2 + 1;
+      const Fold f = fold(find(bank, row)->count, n);
+      for (std::uint64_t k = 0; k < f.fires; ++k) {
         out.push_back(TrrEmission{
-            first_index + (j1 - 1 + k * threshold) * stride, row});
+            first_index + (f.first - 1 + k * threshold) * 2, row});
       }
-      if (fires == 0) {
-        count += n;  // wrapping add matches repeated wrapping ++
-      } else {
-        count = n - j1 - (fires - 1) * threshold;
-      }
-      refreshes_issued_ += fires;
     };
-    if (one_row) {
-      fold(row_a, first, 1, events - first + 1);
-    } else {
-      const std::uint64_t first_odd = first % 2 != 0 ? first : first + 1;
-      const std::uint64_t first_even = first % 2 == 0 ? first : first + 1;
-      fold(row_a, first_odd, 2,
-           first_odd > events ? 0 : (events - first_odd) / 2 + 1);
-      fold(row_b, first_even, 2,
-           first_even > events ? 0 : (events - first_even) / 2 + 1);
-      // Interleave the two rows' emission streams; phase-1 emissions
-      // all precede `first`, so sorting the whole vector is stable
-      // with respect to them.
-      std::sort(out.begin(), out.end(),
-                [](const TrrEmission& x, const TrrEmission& y) {
-                  return x.index < y.index;
-                });
-    }
+    fold_row(row_a, e % 2 != 0 ? e : e + 1);
+    fold_row(row_b, e % 2 == 0 ? e : e + 1);
+    // Interleave the two rows' emission streams; phase-1 emissions all
+    // precede `e`, so sorting the whole vector is stable with respect to
+    // them.
+    std::sort(out.begin(), out.end(),
+              [](const TrrEmission& x, const TrrEmission& y) {
+                return x.index < y.index;
+              });
   }
   return out;
 }
@@ -299,30 +335,13 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
         for (const std::uint64_t p : pos) {
           if (p < rem) ++tail;
         }
-        const std::uint64_t n = full * m_r + tail;
-        if (n == 0) continue;
-        std::uint64_t& count = find(bank, row)->count;
-        std::uint64_t j1;  // 1-based own-activation index of the first fire
-        if (count == ~0ull) {
-          j1 = 1 + threshold;  // first increment wraps to 0, no fire
-        } else if (count >= threshold) {
-          j1 = 1;
-        } else {
-          j1 = threshold - count;
-        }
-        const std::uint64_t fires = n >= j1 ? 1 + (n - j1) / threshold : 0;
-        for (std::uint64_t k = 0; k < fires; ++k) {
-          const std::uint64_t j = j1 + k * threshold;  // own index, 1-based
+        const Fold f = fold(find(bank, row)->count, full * m_r + tail);
+        for (std::uint64_t k = 0; k < f.fires; ++k) {
+          const std::uint64_t j = f.first + k * threshold;  // own, 1-based
           const std::uint64_t q = (j - 1) / m_r;
           const std::uint64_t i = (j - 1) % m_r;
           out.push_back(TrrEmission{e0 + q * period + pos[i], row});
         }
-        if (fires == 0) {
-          count += n;  // wrapping add matches repeated wrapping ++
-        } else {
-          count = n - j1 - (fires - 1) * threshold;
-        }
-        refreshes_issued_ += fires;
       }
       std::sort(out.begin(), out.end(),
                 [](const TrrEmission& x, const TrrEmission& y) {

@@ -26,6 +26,16 @@ struct TrrEmission {
   std::uint32_t row = 0;
 };
 
+/// The target refreshes one one-row batch fires (advance_row()):
+/// `count` fires, at the 1-based activation indices first, first + every,
+/// first + 2 * every, ...  A tracked row's fires are that evenly spaced
+/// because between two of them its counter only counts up.
+struct TrrRowFires {
+  std::uint64_t first = 0;
+  std::uint64_t every = 0;
+  std::uint64_t count = 0;
+};
+
 struct TrrConfig {
   /// Heavy-hitter table entries per bank (real devices track very few —
   /// TRRespass [17] found 1..4 on most parts).
@@ -43,14 +53,15 @@ struct TrrConfig {
 
 class TrrTracker {
  public:
-  /// Scalar steps of a batched call's transient taken before cycle
-  /// detection starts.  A state key costs a table copy, a sort, a
-  /// string and a hash insert, far more than the on_activate() step it
-  /// guards, so short calls (DramDevice::read(addr, out, 5)'s one-row
-  /// 5-activation batch per L2P lookup) just step.  Starting later is bit-exact: detection only
-  /// ever swaps scalar steps for a replay of the identical recorded
-  /// emissions, and a cycle entered earlier is still found one period
-  /// after detection starts.
+  /// Scalar steps of a two-row or multi-row batched call's transient
+  /// taken before cycle detection starts.  A state key costs a table
+  /// copy, a sort, a string and a hash insert, far more than the
+  /// on_activate() step it guards, so short calls (hammer_pair()'s
+  /// per-pair calls, a pattern chunk of a few commands) just step.
+  /// Starting later is bit-exact: detection only ever swaps scalar steps
+  /// for a replay of the identical recorded emissions, and a cycle
+  /// entered earlier is still found one period after detection starts.
+  /// One-row batches never get here: advance_row() is closed-form.
   static constexpr std::uint64_t kScalarStepsBeforeDetect = 64;
 
   TrrTracker(TrrConfig config, std::uint32_t num_banks);
@@ -60,16 +71,28 @@ class TrrTracker {
   [[nodiscard]] std::optional<std::uint32_t> on_activate(std::uint32_t bank,
                                                          std::uint32_t row);
 
+  /// One-row batch: `events` back-to-back activations of `row` in
+  /// `bank` (one L2P lookup's hammers_per_io touches, one-location
+  /// hammering), in closed form.  An untracked row arriving at a full
+  /// table decrements every entry until the smallest nonzero count runs
+  /// out, so those min(c_min, events) steps are one pass; then the row is
+  /// inserted and every later activation is a pure increment.  Returns
+  /// the fires and leaves the table and refreshes_issued() exactly as
+  /// `events` scalar on_activate() calls would, including the 0 -> ~0
+  /// wrap of a count a fire just restarted.
+  [[nodiscard]] TrrRowFires advance_row(std::uint32_t bank, std::uint32_t row,
+                                        std::uint64_t events);
+
   /// Batched replay: `events` activations of the fixed alternating
-  /// pattern row_a, row_b, row_a, ... against `bank`'s table in one
-  /// call (row_a == row_b replays a one-location pattern).  Returns the
-  /// target-refresh emissions in activation order and leaves the table
-  /// and refreshes_issued() exactly as `events` scalar on_activate()
-  /// calls would have.  Under a fixed two-row pattern the Misra–Gries
-  /// dynamics either absorb both rows (every later activation is a pure
-  /// counter increment — closed form) or settle into a short cycle
-  /// (the TRRespass thrash regime — detected and fast-forwarded), so
-  /// the cost is O(transient + emissions), not O(events).
+  /// pattern row_a, row_b, row_a, ... (row_a != row_b) against `bank`'s
+  /// table in one call.  Returns the target-refresh emissions in
+  /// activation order and leaves the table and refreshes_issued() exactly
+  /// as `events` scalar on_activate() calls would have.  Under a fixed
+  /// two-row pattern the Misra–Gries dynamics either absorb both rows
+  /// (every later activation is a pure counter increment — closed form)
+  /// or settle into a short cycle (the TRRespass thrash regime — detected
+  /// and fast-forwarded), so the cost is O(transient + emissions), not
+  /// O(events).
   [[nodiscard]] std::vector<TrrEmission> advance(
       std::uint32_t bank, std::uint32_t row_a, std::uint32_t row_b,
       std::uint64_t events);
@@ -111,6 +134,15 @@ class TrrTracker {
   }
   /// The entry tracking `row` in `bank`, or nullptr.
   [[nodiscard]] Entry* find(std::uint32_t bank, std::uint32_t row);
+
+  /// Where a tracked counter's fires land over `n` pure increments.
+  struct Fold {
+    std::uint64_t first = 0;  // 1-based increment of the first fire
+    std::uint64_t fires = 0;  // later ones every threshold increments
+  };
+  /// Apply `n` increments to a tracked row's `count` (the row stays
+  /// tracked throughout), counting the fires into refreshes_issued().
+  Fold fold(std::uint64_t& count, std::uint64_t n);
 
   TrrConfig config_;
   // Misra–Gries summary per bank, flat: bank b owns the trackers_per_bank

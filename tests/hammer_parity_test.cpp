@@ -73,6 +73,19 @@ void ExpectSameOutcome(DramDevice& batched, DramDevice& scalar) {
   EXPECT_EQ(mb, ms);
 }
 
+/// The mitigation state a batch carries into the next one, beyond
+/// ExpectSameOutcome's checks: injected errors, the TRR refresh count
+/// and the PARA RNG position.
+void ExpectSameMitigationState(const DramDevice& batched,
+                               const DramDevice& scalar) {
+  EXPECT_EQ(batched.stats().injected_bit_errors,
+            scalar.stats().injected_bit_errors);
+  EXPECT_EQ(batched.trr_refreshes_issued(), scalar.trr_refreshes_issued());
+  Rng para_b = batched.para_rng_state();
+  Rng para_s = scalar.para_rng_state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(para_b.next(), para_s.next());
+}
+
 /// Run `fn(device, use_batched)` against a batched and a scalar device
 /// built from the same config, then require identical outcomes.
 template <typename Fn>
@@ -84,6 +97,7 @@ void RunParity(DramConfig config, Fn&& fn) {
   fn(*batched, clock_b, /*use_batched=*/true);
   fn(*scalar, clock_s, /*use_batched=*/false);
   ExpectSameOutcome(*batched, *scalar);
+  ExpectSameMitigationState(*batched, *scalar);
 }
 
 void HammerPairEither(DramDevice& d, std::uint64_t a, std::uint64_t b,
@@ -101,6 +115,29 @@ void HammerRowEither(DramDevice& d, std::uint64_t row, std::uint64_t n,
     d.hammer_row(row, n);
   } else {
     d.hammer_row_scalar(row, n);
+  }
+}
+
+TrrConfig TestTrr(std::uint64_t threshold, std::uint32_t trackers = 4,
+                  std::uint32_t distance = 1) {
+  TrrConfig t;
+  t.activation_threshold = threshold;
+  t.trackers_per_bank = trackers;
+  t.refresh_distance = distance;
+  return t;
+}
+
+/// One-location hammering of `row` in batches of each length h in
+/// {1, 2, 5, 17, 4096}, ~9000 activations per length, moving the clock
+/// 2/3 of a refresh window after each length so windows roll between
+/// batches.
+void HammerRowLengths(DramDevice& d, SimClock& clock, std::uint64_t row,
+                      bool batched) {
+  for (const std::uint64_t h : {1, 2, 5, 17, 4096}) {
+    for (std::uint64_t done = 0; done < 9000; done += h) {
+      HammerRowEither(d, row, h, batched);
+    }
+    clock.advance_ns(d.refresh_window_ns() * 2 / 3);
   }
 }
 
@@ -150,6 +187,20 @@ TEST(HammerParity, BankEdges) {
     HammerPairEither(d, 62, 63, 6000, batched);     // top edge of bank 0
     HammerRowEither(d, 64, 20000, batched);         // bottom edge of bank 1
   });
+  // One-row batches on every bank-edge position (rows 0, 1, rpb-2,
+  // rpb-1 of both banks), plain and under TRR + PARA.
+  DramConfig mitigated = BaseConfig(6);
+  mitigated.mitigations.trr = true;
+  mitigated.mitigations.trr_config = TestTrr(900);
+  mitigated.mitigations.para_probability = 1.0 / 128;
+  for (const DramConfig& c : {BaseConfig(6), mitigated}) {
+    RunParity(c, [](DramDevice& d, SimClock&, bool batched) {
+      for (const std::uint64_t row : {0, 1, 62, 63, 64, 65, 126, 127}) {
+        HammerRowEither(d, row, 7000, batched);
+        HammerRowEither(d, row, 5, batched);
+      }
+    });
+  }
 }
 
 TEST(HammerParity, CrossBankPair) {
@@ -232,15 +283,6 @@ void HammerPairBatches(DramDevice& d, std::uint64_t a, std::uint64_t b,
     HammerPairEither(d, a, b, n, batched);
     done += n;
   }
-}
-
-TrrConfig TestTrr(std::uint64_t threshold, std::uint32_t trackers = 4,
-                  std::uint32_t distance = 1) {
-  TrrConfig t;
-  t.activation_threshold = threshold;
-  t.trackers_per_bank = trackers;
-  t.refresh_distance = distance;
-  return t;
 }
 
 TEST(HammerParity, TrrMatrixSeedsAndBatchSizes) {
@@ -338,6 +380,14 @@ TEST(HammerParity, TrrRefreshDistanceTwo) {
   RunParity(hd, [](DramDevice& d, SimClock&, bool batched) {
     HammerPairBatches(d, 9, 13, 6000, 512, batched);
   });
+  // One-row batches under the same config: the distance-2 refresh of a
+  // fired row re-baselines victims the activated row itself checks,
+  // including at the two rows on each edge of the bank.
+  RunParity(hd, [](DramDevice& d, SimClock& clock, bool batched) {
+    for (const std::uint64_t row : {40, 0, 1, 62, 63}) {
+      HammerRowLengths(d, clock, row, batched);
+    }
+  });
 }
 
 TEST(HammerParity, TrrAdjacentAndCrossBankAggressors) {
@@ -379,6 +429,7 @@ TEST(HammerParity, TrrOpenPageAndWindowRoll) {
     HammerPairEither(d, 9, 11, 2000, batched);
     clock.advance_ns(d.refresh_window_ns() / 2);
     HammerPairEither(d, 9, 11, 3000, batched);
+    HammerRowLengths(d, clock, 20, batched);
   });
 }
 
@@ -436,6 +487,29 @@ TEST(HammerParity, TrrPlusParaCombined) {
       HammerRowEither(d, 40, 5000, batched);
     });
   }
+  // PARA refreshing at every activation and a TRR threshold of 3: both
+  // fire at the same event, and the distance-2 TRR refresh must win over
+  // PARA's distance 1, on one-row batches of every length and across
+  // window rolls.  A full-weight Half-Double term makes the distance-2
+  // victims flip unless those refreshes land with the right bases.
+  DramConfig c = BaseConfig(24);
+  c.profile.half_double_weight = 1.0;
+  c.mitigations.trr = true;
+  c.mitigations.trr_config = TestTrr(3, 4, /*distance=*/2);
+  c.mitigations.para_probability = 1.0;
+  RunParity(c, [](DramDevice& d, SimClock& clock, bool batched) {
+    // Ones in the victims, so cells failing toward 0 have a bit to flip.
+    for (const std::uint64_t row : {38, 39, 41, 42, 61, 62}) {
+      d.poke(DramAddr(row * 512), std::vector<std::uint8_t>(512, 0xFF));
+    }
+    HammerRowLengths(d, clock, 40, batched);
+    HammerRowLengths(d, clock, 63, batched);
+  });
+  SimClock clock;
+  auto probe = MakeDevice(c, clock);
+  probe->hammer_row(40, 10);
+  EXPECT_EQ(probe->stats().trr_refreshes, 3u);
+  EXPECT_EQ(probe->stats().para_refreshes, 10u);
 }
 
 TEST(HammerParity, MitigatedParityAcrossThreadCounts) {
@@ -510,6 +584,7 @@ TEST(HammerParity, RefreshWindowRoll) {
     HammerPairEither(d, 9, 11, 2000, batched);
     clock.advance_ns(d.refresh_window_ns() / 2);
     HammerPairEither(d, 9, 11, 3000, batched);
+    HammerRowLengths(d, clock, 20, batched);
   });
 }
 
@@ -586,21 +661,10 @@ Status ScalarWrites(DramDevice& d, DramAddr addr,
   return s;
 }
 
-/// Everything a touch can change, beyond ExpectSameOutcome's checks.
-void ExpectSameMitigationState(const DramDevice& batched,
-                               const DramDevice& scalar) {
-  EXPECT_EQ(batched.stats().injected_bit_errors,
-            scalar.stats().injected_bit_errors);
-  EXPECT_EQ(batched.trr_refreshes_issued(), scalar.trr_refreshes_issued());
-  Rng para_b = batched.para_rng_state();
-  Rng para_s = scalar.para_rng_state();
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(para_b.next(), para_s.next());
-}
-
 /// Drive `h`-touch L2P-shaped traffic through both devices: reads of
-/// entries on the two aggressors around victim row 11, one in bank 1,
-/// and one that straddles rows 30/31; periodic rewrites of two of them.
-/// Returns the bit flips the traffic caused.
+/// the entries below, with periodic rewrites of two of them and a
+/// window roll three quarters in.  Returns the bit flips the traffic
+/// caused.
 std::uint64_t RunTouchTraffic(const TouchCase& c, std::uint64_t h) {
   SCOPED_TRACE(::testing::Message() << c.name << " h=" << h);
   SimClock clock_b;
@@ -615,12 +679,21 @@ std::uint64_t RunTouchTraffic(const TouchCase& c, std::uint64_t h) {
     batched->set_fault_injector(inj_b.get());
     scalar->set_fault_injector(inj_s.get());
   }
+  // Entries on the two aggressors around row 11, one in bank 1, one that
+  // straddles rows 30/31, and one on each bank-edge position of bank 0.
   const DramAddr entries[] = {DramAddr(10 * 512 + 64), DramAddr(12 * 512 + 8),
                               DramAddr((64 + 20) * 512 + 100),
-                              DramAddr(30 * 512 + 510)};
+                              DramAddr(30 * 512 + 510), DramAddr(0 * 512 + 16),
+                              DramAddr(1 * 512 + 200), DramAddr(62 * 512 + 40),
+                              DramAddr(63 * 512 + 500)};
   // ~9000 touches per entry: enough for row 11 to cross its thresholds.
-  const std::uint64_t rounds = 9000 / h + 50;
+  const std::uint64_t rounds = 9000 / h + (h <= 17 ? 50 : 4);
   for (std::uint64_t round = 0; round < rounds; ++round) {
+    if (round == rounds - rounds / 4) {
+      // Roll the refresh window for the last quarter of the traffic.
+      clock_b.advance_ns(batched->refresh_window_ns());
+      clock_s.advance_ns(scalar->refresh_window_ns());
+    }
     for (std::size_t i = 0; i < std::size(entries); ++i) {
       if ((i == 0 && round % 7 == 3) || (i == 3 && round % 11 == 5)) {
         std::uint8_t data[4];
@@ -681,6 +754,12 @@ TEST(HammerParity, TouchesMatchSingleTouchCalls) {
   add("open_page", [](TouchCase& c) {
     c.config.row_buffer_policy = RowBufferPolicy::kOpenPage;
   });
+  add("para_always_trr", [](TouchCase& c) {
+    // Both fire at the same events: PARA at every one, TRR every third.
+    c.config.mitigations.trr = true;
+    c.config.mitigations.trr_config = TestTrr(3);
+    c.config.mitigations.para_probability = 1.0;
+  });
   add("half_double_trr", [](TouchCase& c) {
     c.config.profile.half_double_weight = 0.1;
     c.config.mitigations.trr = true;
@@ -697,7 +776,7 @@ TEST(HammerParity, TouchesMatchSingleTouchCalls) {
     c.config.mitigations.ecc = true;
   });
   for (const TouchCase& c : cases) {
-    for (const std::uint64_t h : {1, 2, 5, 9}) {
+    for (const std::uint64_t h : {1, 2, 5, 9, 17, 4096}) {
       const std::uint64_t flips = RunTouchTraffic(c, h);
       if (c.faults.empty() && !c.config.mitigations.trr &&
           c.config.mitigations.para_probability == 0.0 &&

@@ -108,6 +108,26 @@ TEST(Trr, RejectsBadConfig) {
   EXPECT_THROW(TrrTracker(TrrConfig{4, 0}, 1), CheckFailure);
 }
 
+/// A batched call's emissions: advance_row() for one row, advance() for
+/// two distinct rows.
+std::vector<TrrEmission> Advance(TrrTracker& trr, std::uint32_t bank,
+                                 std::uint32_t row_a, std::uint32_t row_b,
+                                 std::uint64_t events) {
+  if (row_a != row_b) return trr.advance(bank, row_a, row_b, events);
+  const TrrRowFires fires = trr.advance_row(bank, row_a, events);
+  std::vector<TrrEmission> out;
+  for (std::uint64_t k = 0; k < fires.count; ++k) {
+    out.push_back(TrrEmission{fires.first + k * fires.every, row_a});
+  }
+  return out;
+}
+
+TEST(Trr, AdvanceTakesTwoDistinctRows) {
+  TrrTracker trr(TrrConfig{4, 10}, 1);
+  EXPECT_THROW((void)trr.advance(0, 3, 3, 5), CheckFailure);
+  EXPECT_TRUE(trr.advance(0, 3, 4, 5).empty());
+}
+
 TEST(Trr, BatchedAdvanceMatchesScalarOnRandomHistories) {
   // advance() must leave the tracker exactly where `events` scalar
   // on_activate calls would, and emit the same refreshes at the same
@@ -139,7 +159,7 @@ TEST(Trr, BatchedAdvanceMatchesScalarOnRandomHistories) {
     const std::uint64_t events = rng.next_below(600);
 
     const std::vector<TrrEmission> emissions =
-        batched.advance(0, row_a, row_b, events);
+        Advance(batched, 0, row_a, row_b, events);
     std::size_t next = 0;
     for (std::uint64_t e = 1; e <= events; ++e) {
       const auto fired = scalar.on_activate(0, (e % 2) ? row_a : row_b);
@@ -189,8 +209,8 @@ void ExpectBatchedMatchesScalar(const DetectCase& c, bool use_advance,
   }
   const std::uint64_t m = c.cmd_rows.size();
   const std::vector<TrrEmission> emissions =
-      use_advance ? batched.advance(0, c.cmd_rows.front(),
-                                    c.cmd_rows.back(), events)
+      use_advance ? Advance(batched, 0, c.cmd_rows.front(),
+                            c.cmd_rows.back(), events)
                   : batched.advance_cmds(0, c.cmd_rows, c.repeat, events);
   std::vector<TrrEmission> expected;
   for (std::uint64_t e = 1; e <= events; ++e) {
@@ -295,6 +315,18 @@ class MapMisraGries {
   }
   [[nodiscard]] std::uint64_t refreshes() const { return refreshes_; }
   [[nodiscard]] std::uint64_t wraps() const { return wraps_; }
+  [[nodiscard]] bool tracks(std::uint32_t bank, std::uint32_t row) const {
+    return tables_[bank].contains(row);
+  }
+  /// True when `bank`'s table is full and every count is 0.
+  [[nodiscard]] bool full_of_zeros(std::uint32_t bank) const {
+    const auto& table = tables_[bank];
+    if (table.size() < config_.trackers_per_bank) return false;
+    for (const auto& [row, count] : table) {
+      if (count != 0) return false;
+    }
+    return true;
+  }
 
  private:
   TrrConfig config_;
@@ -333,7 +365,7 @@ TEST(Trr, FlatTableMatchesMapReferenceOnRandomStreams) {
                              : static_cast<std::uint32_t>(rng.next_below(pool));
           const std::uint64_t events = rng.next_below(40);
           const std::vector<TrrEmission> emitted =
-              flat.advance(bank, a, b, events);
+              Advance(flat, bank, a, b, events);
           std::size_t next = 0;
           for (std::uint64_t e = 1; e <= events; ++e) {
             if (const auto fired = ref.on_activate(bank, e % 2 ? a : b)) {
@@ -360,6 +392,103 @@ TEST(Trr, FlatTableMatchesMapReferenceOnRandomStreams) {
   // The streams must reach both the fire and the 0 -> ~0 wrap paths.
   EXPECT_GT(total_fires, 0u);
   EXPECT_GT(total_wraps, 0u);
+}
+
+TEST(Trr, OneRowStepMatchesScalarOnRandomHistories) {
+  // advance_row() against `events` scalar steps of the map reference, from
+  // tables the step's closed form must get exactly right: entries a fire
+  // just restarted at 0 (wrapping to ~0 under a decrement), full tables
+  // of nothing but 0s (every activation decrements, no slot ever frees),
+  // and untracked rows arriving at a full table of live counts.  Batch
+  // lengths run from 1 to 5000, with resets mid-stream.
+  constexpr std::uint32_t kBanks = 2;
+  std::uint64_t fires = 0;
+  std::uint64_t wrapping_batches = 0;
+  std::uint64_t zero_table_batches = 0;
+  std::uint64_t iters = 0;
+  for (std::uint32_t trackers = 1; trackers <= 6; ++trackers) {
+    for (std::uint64_t threshold = 1; threshold <= 12; ++threshold) {
+      SCOPED_TRACE(::testing::Message() << "trackers=" << trackers
+                                        << " threshold=" << threshold);
+      const TrrConfig config{.trackers_per_bank = trackers,
+                             .activation_threshold = threshold};
+      TrrTracker batched(config, kBanks);
+      MapMisraGries ref(config, kBanks);
+      Rng rng(trackers * 131 + threshold);
+      const std::uint64_t pool = trackers + 2;
+      const auto step = [&](std::uint32_t bank, std::uint32_t row) {
+        ASSERT_EQ(batched.on_activate(bank, row), ref.on_activate(bank, row));
+      };
+      for (int iter = 0; iter < 120; ++iter, ++iters) {
+        const auto bank = static_cast<std::uint32_t>(rng.next_below(kBanks));
+        switch (rng.next_below(4)) {
+          case 0:
+            // Fill the table with rows that have each just fired: counts
+            // of 0 that wrap at the next decrement.
+            for (std::uint32_t r = 0; r < trackers; ++r) {
+              for (std::uint64_t i = 0; i <= threshold; ++i) {
+                ASSERT_NO_FATAL_FAILURE(step(bank, 100 + r));
+              }
+            }
+            break;
+          case 1:
+            // Skewed random traffic: hot rows fire, cold ones thrash.
+            for (std::uint64_t i = rng.next_below(40); i > 0; --i) {
+              const auto row = static_cast<std::uint32_t>(
+                  rng.next_bool(0.5) ? rng.next_below(2)
+                                     : rng.next_below(pool));
+              ASSERT_NO_FATAL_FAILURE(step(bank, row));
+            }
+            break;
+          case 2:
+            if (rng.next_below(8) == 0) {
+              batched.reset();
+              ref.reset();
+            }
+            break;
+          default:
+            break;
+        }
+        const std::uint64_t wraps_before = ref.wraps();
+        const auto row = static_cast<std::uint32_t>(
+            rng.next_bool(0.3) ? 100 + rng.next_below(trackers)
+                               : rng.next_below(pool));
+        if (ref.full_of_zeros(bank) && !ref.tracks(bank, row)) {
+          ++zero_table_batches;
+        }
+        const std::uint64_t events = rng.next_bool(0.8)
+                                         ? 1 + rng.next_below(16)
+                                         : 1 + rng.next_below(5000);
+        const TrrRowFires got = batched.advance_row(bank, row, events);
+        std::vector<std::uint64_t> want;
+        for (std::uint64_t e = 1; e <= events; ++e) {
+          if (const auto fired = ref.on_activate(bank, row)) {
+            ASSERT_EQ(*fired, row);
+            want.push_back(e);
+          }
+        }
+        ASSERT_EQ(got.count, want.size()) << "iter " << iter;
+        for (std::uint64_t k = 0; k < got.count; ++k) {
+          ASSERT_EQ(got.first + k * got.every, want[k])
+              << "iter " << iter << " fire " << k;
+        }
+        ASSERT_EQ(batched.refreshes_issued(), ref.refreshes())
+            << "iter " << iter;
+        fires += want.size();
+        if (ref.wraps() > wraps_before) ++wrapping_batches;
+        // The table the step left behind behaves like the scalar one.
+        for (int i = 0; i < 6; ++i) {
+          const auto probe = static_cast<std::uint32_t>(
+              rng.next_bool(0.5) ? row : rng.next_below(pool));
+          ASSERT_NO_FATAL_FAILURE(step(bank, probe)) << "iter " << iter;
+        }
+      }
+    }
+  }
+  // Every regime the closed form distinguishes was reached.
+  EXPECT_GT(fires, iters);
+  EXPECT_GT(wrapping_batches, 0u);
+  EXPECT_GT(zero_table_batches, 0u);
 }
 
 }  // namespace
