@@ -2,9 +2,10 @@
 # CI entry point: tier-1 build (warnings are errors) + tests, the full
 # test suite again under AddressSanitizer + UndefinedBehaviorSanitizer, a
 # ThreadSanitizer smoke of the parallel experiment engine
-# (tests/exec_smoke.cpp), the chaos determinism diff, the repository
-# benchmark's self-test, its result digests against tests/golden/, and
-# the perf gate.
+# (tests/exec_smoke.cpp), the chaos determinism diff and its digests
+# against tests/golden/, the repository benchmark's self-test, its result
+# digests against tests/golden/, and the perf gate (whose paper benches'
+# stdout is diffed against tests/golden/ too).
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -57,6 +58,14 @@ for BUILD_DIR in build build-tsan; do
   }
   echo "${BUILD_DIR}: $(wc -l <"${BUILD_DIR}/chaos.run1") digests stable"
 done
+# The normal build's digests must also match the committed ones, so a
+# change that moves a chaos storm's result shows against the past, not
+# only against a second run of itself.
+diff tests/golden/chaos_digests.txt build/chaos.run1 || {
+  echo "chaos gate: digests differ from tests/golden/chaos_digests.txt" >&2
+  exit 1
+}
+echo "chaos gate: digests match tests/golden/chaos_digests.txt"
 
 echo "== perfbench selftest: the benchmark's correctness oracle =="
 # Every BENCHMARK.json workload at a tiny size, untraced and traced: the
@@ -95,7 +104,7 @@ mkdir -p "${PERF_DIR}"
 # The §5 mitigation matrix at production trace lengths (0.5 s of
 # hammering per triple): BenchReport merges its throughput metric into
 # the same BENCH_hotpath.json.
-(cd "${PERF_DIR}" && ../bench/bench_mitigations >/dev/null)
+(cd "${PERF_DIR}" && ../bench/bench_mitigations >bench_mitigations.out)
 # The N-tenant event-loop sweeps (--quick keeps them small): the
 # read-heavy scale sweep merges cloud_tenant_iops, the TRR+PARA sweep
 # merges cloud_mitigated_iops, and the mixed read/write sweep merges
@@ -106,7 +115,19 @@ mkdir -p "${PERF_DIR}"
 # The paper's Fig. 3 exploit end to end (~5 s): merges
 # exploit_sim_s_per_s, simulated seconds per host second of its full
 # 25% spray run, so the exploit path is under the trajectory check.
-(cd "${PERF_DIR}" && ../bench/bench_fig3_ext4_exploit >/dev/null)
+(cd "${PERF_DIR}" && ../bench/bench_fig3_ext4_exploit \
+    >bench_fig3_ext4_exploit.out)
+# Both paper benches print only simulated results on stdout (no host
+# timings), so their whole output is a golden file: a change that must
+# not move a simulated bit proves it here, and one that means to updates
+# the file.
+for BENCH in bench_mitigations bench_fig3_ext4_exploit; do
+  diff "tests/golden/${BENCH}.txt" "${PERF_DIR}/${BENCH}.out" || {
+    echo "golden gate: ${BENCH} stdout differs from tests/golden/${BENCH}.txt" >&2
+    exit 1
+  }
+done
+echo "golden gate: bench_mitigations and bench_fig3_ext4_exploit stdout match"
 REPORT="${PERF_DIR}/BENCH_hotpath.json"
 if [[ ! -f "${REPORT}" ]]; then
   echo "perf gate: bench_micro produced no ${REPORT}" >&2

@@ -4,6 +4,7 @@
 // dirent slots (a documented simplification over ext4's variable-length
 // records; semantics — lookup, insert, remove, readdir — match).
 #include <array>
+#include <cstddef>
 #include <cstring>
 
 #include "fs/filesystem.hpp"
@@ -21,9 +22,35 @@ DirentDisk MakeDirent(std::string_view name, std::uint32_t ino,
   return d;
 }
 
-bool NameMatches(const DirentDisk& d, std::string_view name) {
-  return d.ino != 0 && d.name_len == name.size() &&
-         std::memcmp(d.name, name.data(), name.size()) == 0;
+std::uint32_t SlotIno(const std::uint8_t* slot) {
+  std::uint32_t ino = 0;
+  std::memcpy(&ino, slot + offsetof(DirentDisk, ino), sizeof(ino));
+  return ino;
+}
+
+/// Whether the on-disk dirent at `slot` is live and names `name`.  All
+/// of a spray's file names have one length, so the name compare runs on
+/// nearly every live slot a lookup passes: it is done inline, in 8-byte
+/// words plus a byte tail, instead of as one memcmp call per slot.
+bool NameMatches(const std::uint8_t* slot, std::string_view name) {
+  if (SlotIno(slot) == 0 ||
+      slot[offsetof(DirentDisk, name_len)] != name.size()) {
+    return false;
+  }
+  const std::uint8_t* stored = slot + offsetof(DirentDisk, name);
+  const char* want = name.data();
+  std::size_t n = name.size();
+  for (; n >= 8; stored += 8, want += 8, n -= 8) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::memcpy(&a, stored, 8);
+    std::memcpy(&b, want, 8);
+    if (a != b) return false;
+  }
+  for (; n > 0; ++stored, ++want, --n) {
+    if (*stored != static_cast<std::uint8_t>(*want)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -46,9 +73,8 @@ StatusOr<std::uint32_t> FileSystem::dir_lookup(std::uint32_t dir_ino,
     if (phys == 0) continue;
     RHSD_RETURN_IF_ERROR(dev_.read_block(phys, buf));
     for (std::uint32_t i = 0; i < kDirentsPerBlock; ++i) {
-      DirentDisk d;
-      std::memcpy(&d, buf.data() + i * kDirentSize, kDirentSize);
-      if (NameMatches(d, name)) return d.ino;
+      const std::uint8_t* slot = buf.data() + i * kDirentSize;
+      if (NameMatches(slot, name)) return SlotIno(slot);
     }
   }
   return NotFound(std::string(name));
@@ -74,10 +100,9 @@ Status FileSystem::dir_add(std::uint32_t dir_ino, InodeDisk& dir,
     if (phys == 0) continue;
     RHSD_RETURN_IF_ERROR(dev_.read_block(phys, buf));
     for (std::uint32_t i = 0; i < kDirentsPerBlock; ++i) {
-      DirentDisk d;
-      std::memcpy(&d, buf.data() + i * kDirentSize, kDirentSize);
-      if (d.ino == 0) {
-        std::memcpy(buf.data() + i * kDirentSize, &entry, kDirentSize);
+      std::uint8_t* slot = buf.data() + i * kDirentSize;
+      if (SlotIno(slot) == 0) {
+        std::memcpy(slot, &entry, kDirentSize);
         return dev_.write_block(phys, buf);
       }
     }
@@ -109,11 +134,9 @@ Status FileSystem::dir_remove(std::uint32_t dir_ino, InodeDisk& dir,
     if (phys == 0) continue;
     RHSD_RETURN_IF_ERROR(dev_.read_block(phys, buf));
     for (std::uint32_t i = 0; i < kDirentsPerBlock; ++i) {
-      DirentDisk d;
-      std::memcpy(&d, buf.data() + i * kDirentSize, kDirentSize);
-      if (NameMatches(d, name)) {
-        DirentDisk empty{};
-        std::memcpy(buf.data() + i * kDirentSize, &empty, kDirentSize);
+      std::uint8_t* slot = buf.data() + i * kDirentSize;
+      if (NameMatches(slot, name)) {
+        std::memset(slot, 0, kDirentSize);
         return dev_.write_block(phys, buf);
       }
     }

@@ -112,9 +112,9 @@ Status ExtentTree::LoadNode(BlockDevice& dev, const ExtentCsumCtx& ctx,
   return Status::Ok();
 }
 
-StatusOr<std::vector<Extent>> ExtentTree::Load(BlockDevice& dev,
-                                               const InodeDisk& inode,
-                                               const ExtentCsumCtx& ctx) {
+Status ExtentTree::Load(BlockDevice& dev, const InodeDisk& inode,
+                        const ExtentCsumCtx& ctx, std::vector<Extent>& out) {
+  out.clear();
   const auto* root = reinterpret_cast<const std::uint8_t*>(inode.block);
   ExtentHeader h;
   ReadHeader(root, h);
@@ -130,13 +130,12 @@ StatusOr<std::vector<Extent>> ExtentTree::Load(BlockDevice& dev,
     return Corruption("inode " + std::to_string(ctx.ino) +
                       ": extent tree too deep");
   }
-  std::vector<Extent> extents;
   const std::uint8_t* entries = root + sizeof(ExtentHeader);
   if (h.depth == 0) {
     for (std::uint16_t i = 0; i < h.entries; ++i) {
       ExtentLeaf leaf;
       std::memcpy(&leaf, entries + i * sizeof(leaf), sizeof(leaf));
-      extents.push_back(FromLeaf(leaf));
+      out.push_back(FromLeaf(leaf));
     }
   } else {
     for (std::uint16_t i = 0; i < h.entries; ++i) {
@@ -145,14 +144,13 @@ StatusOr<std::vector<Extent>> ExtentTree::Load(BlockDevice& dev,
       const std::uint64_t child =
           (static_cast<std::uint64_t>(idx.leaf_hi) << 32) | idx.leaf_lo;
       RHSD_RETURN_IF_ERROR(LoadNode(
-          dev, ctx, child, static_cast<std::uint16_t>(h.depth - 1), extents));
+          dev, ctx, child, static_cast<std::uint16_t>(h.depth - 1), out));
     }
   }
-  std::sort(extents.begin(), extents.end(),
-            [](const Extent& a, const Extent& b) {
-              return a.logical < b.logical;
-            });
-  return extents;
+  std::sort(out.begin(), out.end(), [](const Extent& a, const Extent& b) {
+    return a.logical < b.logical;
+  });
+  return Status::Ok();
 }
 
 Status ExtentTree::FreeNodes(BlockDevice& dev, const InodeDisk& inode,

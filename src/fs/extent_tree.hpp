@@ -45,12 +45,13 @@ class ExtentTree {
   /// Initialize an empty depth-0 root inside the inode.
   static void InitRoot(InodeDisk& inode);
 
-  /// Walk the tree and return the (sorted) extent list.  Verifies node
-  /// magic, checksums and depths (each node one below its parent, at
-  /// most 5 levels), so a corrupt tree cannot recurse without bound.
-  static StatusOr<std::vector<Extent>> Load(BlockDevice& dev,
-                                            const InodeDisk& inode,
-                                            const ExtentCsumCtx& ctx);
+  /// Walk the tree and replace `out` with its (sorted) extent list;
+  /// `out` is the caller's, so a reused vector costs no allocation per
+  /// call.  Verifies node magic, checksums and depths (each node one
+  /// below its parent, at most 5 levels), so a corrupt tree cannot
+  /// recurse without bound.  On error `out` holds no usable list.
+  static Status Load(BlockDevice& dev, const InodeDisk& inode,
+                     const ExtentCsumCtx& ctx, std::vector<Extent>& out);
 
   /// Rewrite the tree to hold exactly `extents`.  Frees the old node
   /// blocks and allocates new ones as needed (depth 0 or 1).

@@ -226,7 +226,16 @@ void FileSystem::free_block(std::uint64_t block) {
 }
 
 StatusOr<std::uint32_t> FileSystem::alloc_inode() {
-  for (std::uint32_t ino = 1; ino <= super_.inode_count; ++ino) {
+  // Skip whole 64-inode bitmap words that are all in use, then scan bit
+  // by bit: the same lowest free inode a scan from inode 1 finds.
+  std::uint32_t first = 1;
+  while (first - 1 + 64 <= super_.inode_count) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, inode_bitmap_.data() + (first - 1) / 8, sizeof(word));
+    if (word != ~std::uint64_t{0}) break;
+    first += 64;
+  }
+  for (std::uint32_t ino = first; ino <= super_.inode_count; ++ino) {
     if (!inode_in_use(ino)) {
       const std::uint32_t bit = ino - 1;
       inode_bitmap_[bit / 8] |= 1u << (bit % 8);
@@ -284,14 +293,13 @@ StatusOr<std::uint64_t> FileSystem::map_block(std::uint32_t ino,
                                               bool* inode_dirty) {
   if (UsesExtents(inode)) {
     const ExtentCsumCtx ctx = csum_ctx(ino, inode);
-    RHSD_ASSIGN_OR_RETURN(std::vector<Extent> extents,
-                          ExtentTree::Load(dev_, inode, ctx));
-    const std::uint64_t existing = ExtentTree::Lookup(extents, file_block);
+    RHSD_RETURN_IF_ERROR(ExtentTree::Load(dev_, inode, ctx, extents_));
+    const std::uint64_t existing = ExtentTree::Lookup(extents_, file_block);
     if (existing != 0 || !alloc) return existing;
     RHSD_ASSIGN_OR_RETURN(const std::uint64_t fresh, alloc_block());
-    ExtentTree::InsertBlock(extents, file_block, fresh);
+    ExtentTree::InsertBlock(extents_, file_block, fresh);
     RHSD_RETURN_IF_ERROR(ExtentTree::Store(
-        dev_, inode, ctx, extents, [this] { return alloc_block(); },
+        dev_, inode, ctx, extents_, [this] { return alloc_block(); },
         [this](std::uint64_t b) { free_block(b); }));
     if (inode_dirty != nullptr) *inode_dirty = true;
     return fresh;
@@ -315,9 +323,8 @@ StatusOr<std::uint64_t> FileSystem::map_block(std::uint32_t ino,
 Status FileSystem::free_file_blocks(std::uint32_t ino, InodeDisk& inode) {
   if (UsesExtents(inode)) {
     const ExtentCsumCtx ctx = csum_ctx(ino, inode);
-    auto extents = ExtentTree::Load(dev_, inode, ctx);
-    if (extents.ok()) {
-      for (const Extent& e : *extents) {
+    if (ExtentTree::Load(dev_, inode, ctx, extents_).ok()) {
+      for (const Extent& e : extents_) {
         for (std::uint32_t i = 0; i < e.len; ++i) {
           free_block(e.physical + i);
         }
@@ -534,10 +541,9 @@ StatusOr<std::vector<std::vector<std::uint8_t>>> FileSystem::read_file_blocks(
   std::vector<std::uint64_t> phys(count, IndirectMapper::kUnreadable);
   if (UsesExtents(inode)) {
     const ExtentCsumCtx ctx = csum_ctx(ino, inode);
-    auto extents = ExtentTree::Load(dev_, inode, ctx);
-    if (extents.ok()) {
+    if (ExtentTree::Load(dev_, inode, ctx, extents_).ok()) {
       for (std::uint32_t i = 0; i < count; ++i) {
-        phys[i] = ExtentTree::Lookup(*extents, first_block + i);
+        phys[i] = ExtentTree::Lookup(extents_, first_block + i);
       }
     }
   } else {

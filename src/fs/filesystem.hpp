@@ -176,6 +176,9 @@ class FileSystem {
   std::uint32_t free_inodes_ = 0;
   std::uint64_t alloc_cursor_ = 0;  // next-fit allocation position
   std::uint32_t generation_counter_ = 1;
+  /// Extent list scratch for map_block and the other extent-tree walks,
+  /// reused so a block map allocates nothing once it has grown.
+  std::vector<Extent> extents_;
 
   friend class Fsck;
 };

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <unordered_map>
+#include <vector>
 
 #include "fs/indirect.hpp"
 
@@ -87,6 +88,7 @@ FsckReport Fsck::Check(FileSystem& fs) {
   }
 
   std::unordered_map<std::uint32_t, std::uint32_t> link_counts;
+  std::vector<Extent> extents;
 
   for (std::uint32_t ino = 2; ino <= super.inode_count; ++ino) {
     if (!fs.inode_in_use(ino)) continue;
@@ -112,15 +114,16 @@ FsckReport Fsck::Check(FileSystem& fs) {
 
     if (UsesExtents(inode)) {
       const ExtentCsumCtx ctx{super.uuid, ino, inode.generation};
-      auto extents = ExtentTree::Load(fs.device(), inode, ctx);
-      if (!extents.ok()) {
+      const Status loaded =
+          ExtentTree::Load(fs.device(), inode, ctx, extents);
+      if (!loaded.ok()) {
         report.errors.push_back("inode " + std::to_string(ino) + ": " +
-                                extents.status().to_string());
+                                loaded.to_string());
         continue;
       }
       std::uint32_t prev_end = 0;
       bool first = true;
-      for (const Extent& e : *extents) {
+      for (const Extent& e : extents) {
         if (!first && e.logical < prev_end) {
           report.errors.push_back("inode " + std::to_string(ino) +
                                   ": overlapping extents");

@@ -2,6 +2,7 @@
 // deterministic RNG, simulated clock, formatting helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <vector>
@@ -233,7 +234,8 @@ TEST(Crc32c, SeedChaining) {
 
 TEST(Crc32c, SensitiveToSingleBitFlips) {
   // Every bit of a short buffer (single stream) and of a 4092-byte
-  // extent-node prefix (three lanes plus a tail).
+  // extent-node prefix (the long-input path plus a tail: the 512-bit
+  // fold where the CPU has it, else three SSE4.2 lanes).
   for (const std::size_t n : {std::size_t{64}, std::size_t{4092}}) {
     Rng rng(n);
     std::vector<std::uint8_t> data(n);
@@ -252,8 +254,8 @@ TEST(Crc32c, SensitiveToSingleBitFlips) {
 }
 
 // Bit-at-a-time CRC-32C register update, straight from the definition
-// and independent of both production paths (byte table and SSE4.2
-// lanes).  Works on the un-inverted register so prefixes chain.
+// and independent of every production kernel (byte table, SSE4.2 lanes,
+// 512-bit fold).  Works on the un-inverted register so prefixes chain.
 std::uint32_t BitwiseStep(std::uint32_t reg, std::uint8_t byte) {
   reg ^= byte;
   for (int bit = 0; bit < 8; ++bit) {
@@ -262,24 +264,25 @@ std::uint32_t BitwiseStep(std::uint32_t reg, std::uint8_t byte) {
   return reg;
 }
 
-// The SSE4.2 path runs 3 x 1360-byte lanes per 4080-byte stretch and
-// finishes with a single stream; these lengths cover no stretch, one
-// stretch plus every tail (4092 is the extent-node prefix, 4096 a whole
-// block), and the two- and three-stretch boundaries.
-TEST(Crc32c, MatchesBitwiseReferenceAcrossLengthsAndOffsets) {
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 4200; ++n) lengths.push_back(n);
-  for (std::size_t n = 8150; n <= 8170; ++n) lengths.push_back(n);
-  for (std::size_t n = 12230; n <= 12250; ++n) lengths.push_back(n);
-  const std::size_t max_len = lengths.back();
-  constexpr std::size_t kOffsets = 8;
+using CrcFn = std::uint32_t (*)(std::span<const std::uint8_t>, std::uint32_t);
 
+/// Checks `crc` (called like Crc32c) against the bitwise reference
+/// on every length in `lengths`, at `offsets` into a random buffer, for
+/// three random data and seed draws.
+template <typename Fn>
+void ExpectMatchesBitwiseReference(Fn crc,
+                                   const std::vector<std::size_t>& lengths,
+                                   const std::vector<std::size_t>& offsets) {
+  const std::size_t max_len = *std::max_element(lengths.begin(),
+                                                lengths.end());
+  const std::size_t max_off = *std::max_element(offsets.begin(),
+                                                offsets.end());
   for (std::uint64_t seed : {1, 2, 3}) {
     Rng rng(seed);
-    std::vector<std::uint8_t> buf(max_len + kOffsets);
+    std::vector<std::uint8_t> buf(max_len + max_off);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
     const auto crc_seed = static_cast<std::uint32_t>(rng.next());
-    for (std::size_t off = 0; off < kOffsets; ++off) {
+    for (const std::size_t off : offsets) {
       // want[n] = reference CRC of the n bytes starting at `off`.
       std::vector<std::uint32_t> want(max_len + 1);
       std::uint32_t reg = ~crc_seed;
@@ -289,12 +292,82 @@ TEST(Crc32c, MatchesBitwiseReferenceAcrossLengthsAndOffsets) {
         want[n] = ~reg;
       }
       for (const std::size_t n : lengths) {
-        ASSERT_EQ(Crc32c(std::span(buf).subspan(off, n), crc_seed), want[n])
+        ASSERT_EQ(crc(std::span(buf).subspan(off, n), crc_seed), want[n])
             << "seed " << seed << " offset " << off << " length " << n;
       }
     }
   }
 }
+
+// The SSE4.2 path runs 3 x 1360-byte lanes per 4080-byte stretch and
+// finishes with a single stream; these lengths cover no stretch, one
+// stretch plus every tail (4092 is the extent-node prefix, 4096 a whole
+// block), and the two- and three-stretch boundaries.
+std::vector<std::size_t> LaneLengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 4200; ++n) lengths.push_back(n);
+  for (std::size_t n = 8150; n <= 8170; ++n) lengths.push_back(n);
+  for (std::size_t n = 12230; n <= 12250; ++n) lengths.push_back(n);
+  return lengths;
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAcrossLengthsAndOffsets) {
+  ExpectMatchesBitwiseReference(
+      [](std::span<const std::uint8_t> d, std::uint32_t s) {
+        return Crc32c(d, s);
+      },
+      LaneLengths(), {0, 1, 2, 3, 4, 5, 6, 7});
+}
+
+// Each kernel Crc32c can dispatch to, called directly, so a kernel the
+// dispatcher does not pick on this host is still checked where the CPU
+// has it.
+struct CrcKernel {
+  const char* name;
+  bool (*supported)();
+  CrcFn kernel;  // un-inverted register in and out
+};
+
+void PrintTo(const CrcKernel& k, std::ostream* os) { *os << k.name; }
+
+class Crc32cKernel : public ::testing::TestWithParam<CrcKernel> {};
+
+// Lengths 0..4200 and the three-lane boundaries, plus every 256-byte
+// multiple up to 12 KiB (the fold's four-accumulator step) at -17..+17
+// (its 64-byte and 16-byte steps and the single-stream tail around
+// them); offsets up to 63 misalign every 64-byte load.
+TEST_P(Crc32cKernel, MatchesBitwiseReference) {
+  const CrcKernel& k = GetParam();
+  if (!k.supported()) GTEST_SKIP() << k.name << " not supported by this CPU";
+  std::vector<std::size_t> lengths = LaneLengths();
+  for (std::size_t base = 256; base <= 12288; base += 256) {
+    for (std::size_t d = 0; d <= 17; ++d) {
+      lengths.push_back(base - d);
+      lengths.push_back(base + d);
+    }
+  }
+  ExpectMatchesBitwiseReference(
+      [&k](std::span<const std::uint8_t> d, std::uint32_t s) {
+        return ~k.kernel(d, ~s);
+      },
+      lengths, {0, 1, 3, 8, 17, 31, 63});
+}
+
+bool Always() { return true; }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernel,
+    ::testing::Values(
+        CrcKernel{"Table", &Always, &detail::Crc32cTable}
+#if defined(__x86_64__)
+        ,
+        CrcKernel{"Sse42", &detail::HaveSse42, &detail::Crc32cSse42},
+        CrcKernel{"Fold512", &detail::HaveFold512, &detail::Crc32cFold512}
+#endif
+        ),
+    [](const ::testing::TestParamInfo<CrcKernel>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123), c(124);

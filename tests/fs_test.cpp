@@ -435,7 +435,8 @@ TEST(Integrity, SelfReferencingExtentNodeIsCorruption) {
     auto* root = reinterpret_cast<std::uint8_t*>(inode.block);
     std::memcpy(root, &rh, sizeof(rh));
     std::memcpy(root + sizeof(rh), &self, sizeof(self));
-    EXPECT_EQ(ExtentTree::Load(dev, inode, ctx).status().code(),
+    std::vector<Extent> extents;
+    EXPECT_EQ(ExtentTree::Load(dev, inode, ctx, extents).code(),
               StatusCode::kCorruption)
         << "root depth " << root_depth;
   }
@@ -579,6 +580,152 @@ TEST(Fs, ManyFilesInOneDirectory) {
   EXPECT_EQ(entries->size(), 152u);  // 150 files + . + ..
   // Spot-check resolution still works past the first dir block.
   EXPECT_TRUE(rig.fs->lookup(kRoot, "/f149").ok());
+}
+
+// The directory name compare runs in 8-byte words plus a byte tail.
+// Names of every length 1..56 that differ from a stored name in exactly
+// one byte, at each position, cross every word boundary; "ghost" slots
+// keep a name_len and name but have ino 0, so they are free and never
+// match, even when they hold a live name and sit before its slot.
+// lookup, unlink and create outcomes are checked against a memcmp
+// reference over the live names.
+TEST(Dir, NameCompareMatchesMemcmpReference) {
+  FsRig rig(4096);
+  ASSERT_TRUE(rig.fs->mkdir(kRoot, "/d", 0755).ok());
+  const std::uint32_t dir_ino = *rig.fs->lookup(kRoot, "/d");
+
+  std::vector<std::pair<std::string, std::uint32_t>> live;
+  const auto live_ino = [&](const std::string& name) -> std::uint32_t {
+    for (const auto& [n, ino] : live) {
+      if (n.size() == name.size() &&
+          std::memcmp(n.data(), name.data(), n.size()) == 0) {
+        return ino;
+      }
+    }
+    return 0;
+  };
+  const auto forget = [&](const std::string& name) {
+    std::erase_if(live, [&](const auto& e) { return e.first == name; });
+  };
+  const auto expect_lookup = [&](const std::string& name) {
+    auto got = rig.fs->lookup(kRoot, "/d/" + name);
+    if (const std::uint32_t want = live_ino(name); want != 0) {
+      ASSERT_TRUE(got.ok()) << name << ": " << got.status();
+      EXPECT_EQ(*got, want) << name;
+    } else {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << name;
+    }
+  };
+  const auto expect_unlink = [&](const std::string& name) {
+    const Status got = rig.fs->unlink(kRoot, "/d/" + name);
+    if (live_ino(name) != 0) {
+      EXPECT_TRUE(got.ok()) << name << ": " << got;
+      forget(name);
+    } else {
+      EXPECT_EQ(got.code(), StatusCode::kNotFound) << name;
+    }
+  };
+  const auto expect_create = [&](const std::string& name) {
+    auto got = rig.fs->create(kRoot, "/d/" + name, 0644);
+    if (live_ino(name) != 0) {
+      EXPECT_EQ(got.status().code(), StatusCode::kAlreadyExists) << name;
+    } else {
+      ASSERT_TRUE(got.ok()) << name << ": " << got.status();
+      live.emplace_back(name, *got);
+    }
+  };
+
+  const auto stored = [](std::size_t len) {
+    std::string s(len, ' ');
+    for (std::size_t i = 0; i < len; ++i) {
+      s[i] = static_cast<char>('a' + (len * 7 + i) % 26);
+    }
+    return s;
+  };
+  const auto ghost = [](std::size_t len) { return std::string(len, 'G'); };
+
+  // Ghost files first, so their slots come before the stored names'.
+  for (std::size_t len = 1; len <= kMaxNameLen; ++len) {
+    expect_create(ghost(len));
+  }
+  for (std::size_t len = 1; len <= kMaxNameLen; ++len) {
+    expect_create(stored(len));
+  }
+  ASSERT_EQ(live.size(), 2 * kMaxNameLen);
+
+  // Free the ghost slots by hand, keeping name_len and name: odd lengths
+  // take the live stored name of the same length.
+  int ghosts = 0;
+  const auto dir_size = rig.fs->stat(dir_ino)->size;
+  for (std::uint32_t b = 0; b * kFsBlockSize < dir_size; ++b) {
+    const std::uint64_t phys = *rig.fs->bmap(dir_ino, b);
+    std::vector<std::uint8_t> block(kFsBlockSize);
+    ASSERT_TRUE(rig.dev.read_block(phys, block).ok());
+    for (std::uint32_t i = 0; i < kDirentsPerBlock; ++i) {
+      DirentDisk d;
+      std::memcpy(&d, block.data() + i * kDirentSize, kDirentSize);
+      const std::string name(d.name, d.name_len);
+      if (d.ino == 0 || name != ghost(d.name_len)) continue;
+      d.ino = 0;
+      if (d.name_len % 2 == 1) {
+        std::memcpy(d.name, stored(d.name_len).data(), d.name_len);
+      }
+      std::memcpy(block.data() + i * kDirentSize, &d, kDirentSize);
+      ++ghosts;
+    }
+    ASSERT_TRUE(rig.dev.write_block(phys, block).ok());
+  }
+  ASSERT_EQ(ghosts, static_cast<int>(kMaxNameLen));
+  for (std::size_t len = 1; len <= kMaxNameLen; ++len) forget(ghost(len));
+
+  // Read-only pass with every ghost slot still in place.
+  for (std::size_t len = 1; len <= kMaxNameLen; ++len) {
+    expect_lookup(stored(len));
+    expect_lookup(ghost(len));
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      std::string near = stored(len);
+      near[pos] = near[pos] == 'z' ? 'a' : static_cast<char>(near[pos] + 1);
+      expect_lookup(near);
+      expect_unlink(near);
+    }
+  }
+  // Then create, find and remove each near miss next to its stored name
+  // (creates reuse the ghost slots first).
+  for (std::size_t len = 1; len <= kMaxNameLen; ++len) {
+    expect_create(stored(len));
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      std::string near = stored(len);
+      near[pos] ^= 0x20;  // upper case: one byte off
+      expect_create(near);
+      expect_lookup(near);
+      expect_lookup(stored(len));
+      expect_unlink(near);
+      expect_lookup(near);
+    }
+    expect_unlink(stored(len));
+    expect_lookup(stored(len));
+  }
+}
+
+// alloc_inode skips full 64-inode bitmap words; it must still hand out
+// the lowest free inode, inside the first word and past it.
+TEST(Fs, AllocInodeReturnsLowestFree) {
+  FsRig rig(2048);
+  std::vector<std::uint32_t> inos;
+  for (int i = 0; i < 140; ++i) {
+    auto ino = rig.fs->create(kRoot, "/f" + std::to_string(i), 0644);
+    ASSERT_TRUE(ino.ok()) << i;
+    inos.push_back(*ino);
+  }
+  for (std::size_t i = 1; i < inos.size(); ++i) {
+    ASSERT_EQ(inos[i], inos[i - 1] + 1);
+  }
+  // Free one inode past the first two words, then one in the first.
+  ASSERT_TRUE(rig.fs->unlink(kRoot, "/f135").ok());
+  ASSERT_TRUE(rig.fs->unlink(kRoot, "/f3").ok());
+  EXPECT_EQ(*rig.fs->create(kRoot, "/a", 0644), inos[3]);
+  EXPECT_EQ(*rig.fs->create(kRoot, "/b", 0644), inos[135]);
+  EXPECT_EQ(*rig.fs->create(kRoot, "/c", 0644), inos.back() + 1);
 }
 
 TEST(Fs, OutOfInodes) {
